@@ -8,20 +8,49 @@ import (
 	"testing"
 
 	"vavg/internal/engine"
+	"vavg/internal/extend"
 	"vavg/internal/graph"
 )
 
 // TestCrossBackendEquivalenceRegistry is the deliverable contract of the
-// pluggable-backend engine: for every registered algorithm on every graph
-// family, identical seeds must yield byte-identical engine Results —
-// rounds, commitments, outputs, active-set decay, message counts — on the
-// "goroutines", "pool", and "step" backends. Backends are execution
-// strategies, not semantics. Algorithms with a step form run it on the
-// step backend, so this suite also pins every step translation to its
-// blocking original.
+// engine: for every registered algorithm on every graph family, identical
+// seeds must yield byte-identical engine Results — rounds, commitments,
+// outputs, active-set decay, message counts — on every backend in
+// engine.Backends. Backends are execution strategies, not semantics.
+// "goroutines" runs the blocking form and "step" the step form, so this
+// suite pins every step translation to its blocking original. The
+// list-coloring entry point (not a registry algorithm) rides along.
 func TestCrossBackendEquivalenceRegistry(t *testing.T) {
-	oldProcs := gort.GOMAXPROCS(4) // force multi-shard pool runs
+	oldProcs := gort.GOMAXPROCS(4) // force multi-shard step runs
 	defer gort.GOMAXPROCS(oldProcs)
+
+	type equivCase struct {
+		name     string
+		ringOnly bool
+		spec     func(g *Graph, p Params) engine.Spec
+	}
+	var cases []equivCase
+	for _, alg := range Algorithms() {
+		alg := alg
+		cases = append(cases, equivCase{
+			name:     alg.Name,
+			ringOnly: strings.Contains(alg.Name, "ring") || alg.Kind == KindReference,
+			spec:     func(_ *Graph, p Params) engine.Spec { return alg.spec(p) },
+		})
+	}
+	cases = append(cases, equivCase{name: "list-coloring", spec: func(g *Graph, p Params) engine.Spec {
+		list := func(v int) []int {
+			out := make([]int, g.Degree(v)+1)
+			for i := range out {
+				out[i] = 100 + 2*i
+			}
+			return out
+		}
+		return engine.Spec{
+			Program: extend.ListColoring(p.Arboricity, p.Eps, list),
+			Step:    extend.ListColoringStep(p.Arboricity, p.Eps, list),
+		}
+	}})
 
 	families := []struct {
 		name string
@@ -35,24 +64,20 @@ func TestCrossBackendEquivalenceRegistry(t *testing.T) {
 		{"tree", func() *Graph { return RandomTree(160, 5) }, 1},
 		{"gnm", func() *Graph { return Gnm(140, 420, 9) }, 0},
 	}
-	for _, alg := range Algorithms() {
-		ringOnly := strings.Contains(alg.Name, "ring") || alg.Kind == KindReference
+	for _, c := range cases {
 		for _, fam := range families {
-			if ringOnly && fam.name != "ring" {
+			if c.ringOnly && fam.name != "ring" {
 				continue
 			}
 			if testing.Short() && fam.name != "ring" && fam.name != "forests" {
 				continue
 			}
-			alg, fam := alg, fam
-			t.Run(alg.Name+"/"+fam.name, func(t *testing.T) {
+			c, fam := c, fam
+			t.Run(c.name+"/"+fam.name, func(t *testing.T) {
 				t.Parallel()
 				g := fam.gen()
 				p := Params{Arboricity: fam.a, Seed: 11, MaxRounds: 1 << 21}.withDefaults(g)
-				spec := engine.Spec{Program: alg.program(p)}
-				if alg.step != nil {
-					spec.Step = alg.step(p)
-				}
+				spec := c.spec(g, p)
 				var results []*engine.Result
 				for _, backend := range engine.Backends() {
 					res, err := engine.RunSpec(g, spec, engine.Options{
@@ -121,10 +146,7 @@ func TestStepWorkerInvarianceRegistry(t *testing.T) {
 			// GOMAXPROCS is process-global, so the P axis runs sequentially
 			// (no t.Parallel) and each point restores the previous value.
 			p := Params{Arboricity: a, Seed: 11, MaxRounds: 1 << 21}.withDefaults(g)
-			spec := engine.Spec{Program: alg.program(p)}
-			if alg.step != nil {
-				spec.Step = alg.step(p)
-			}
+			spec := alg.spec(p)
 			for _, fault := range []string{"faultless", "dropcrash"} {
 				opts := engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds, Backend: "step"}
 				if fault == "dropcrash" {
@@ -171,29 +193,27 @@ func TestStepWorkerInvarianceRegistry(t *testing.T) {
 	}
 }
 
-// TestPoolDecayShape re-runs the Lemma 6.1 assertions against the pool
-// backend: on the active-set scheduler too, Procedure Partition's active
-// set must decay within the geometric envelope n*(2/(2+eps))^i, and the
+// TestDecayShape re-runs the Lemma 6.1 assertions through the public
+// entry point with default Params: Procedure Partition's active set must
+// decay within the geometric envelope n*(2/(2+eps))^i, and the
 // accounting identities RoundSum == sum(ActivePerRound) and
 // VertexAverage <= TotalRounds must hold exactly.
-func TestPoolDecayShape(t *testing.T) {
+func TestDecayShape(t *testing.T) {
 	const (
 		n   = 4096
-		a   = 3
-		eps = 2.0
+		eps = 2.0 // the Params default
 	)
-	g := ForestUnion(n, a, 23)
+	g := ForestUnion(n, 3, 23)
 	alg, err := ByName("partition")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Params{Arboricity: a, Seed: 5, MaxRounds: 1 << 21, Backend: "pool"}.withDefaults(g)
-	res, err := engine.Run(g, alg.program(p), engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds, Backend: "pool"})
+	rep, err := alg.Run(g, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sum int64
-	for i, act := range res.ActivePerRound {
+	for i, act := range rep.ActivePerRound {
 		sum += int64(act)
 		// One slack round: vertices pay a final output round after the
 		// partition decision, shifting the measured decay by one.
@@ -202,25 +222,37 @@ func TestPoolDecayShape(t *testing.T) {
 			t.Errorf("round %d: active %d exceeds Lemma 6.1 envelope %.1f", i+1, act, bound)
 		}
 	}
-	if sum != res.RoundSum {
-		t.Errorf("sum of ActivePerRound = %d, RoundSum = %d", sum, res.RoundSum)
+	if sum != rep.RoundSum {
+		t.Errorf("sum of ActivePerRound = %d, RoundSum = %d", sum, rep.RoundSum)
 	}
-	if res.VertexAverage() > float64(res.TotalRounds) {
-		t.Errorf("VertexAverage %.2f exceeds TotalRounds %d", res.VertexAverage(), res.TotalRounds)
+	if rep.VertexAvg > float64(rep.WorstCase) {
+		t.Errorf("VertexAvg %.2f exceeds WorstCase %d", rep.VertexAvg, rep.WorstCase)
 	}
 }
 
 // TestParamsBackendSelection checks the façade plumbing: an explicit
-// unknown backend must surface as an error, and explicit valid choices
-// must run and validate.
+// unknown or retired backend must surface as an error listing the valid
+// names, and explicit valid choices must run and validate.
 func TestParamsBackendSelection(t *testing.T) {
 	g := graph.ForestUnion(100, 2, 3)
 	alg, err := ByName("partition")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := alg.Run(g, Params{Backend: "bogus"}); err == nil {
-		t.Error("unknown backend should fail")
+	if got, want := Backends(), []string{"goroutines", "step"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Backends() = %v, want %v", got, want)
+	}
+	for _, bad := range []string{"bogus", "pool"} {
+		_, err := alg.Run(g, Params{Backend: bad})
+		if err == nil {
+			t.Errorf("backend %q should fail", bad)
+			continue
+		}
+		for _, name := range append(Backends(), "auto") {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("backend %q error %q does not list %q", bad, err, name)
+			}
+		}
 	}
 	for _, backend := range engine.Backends() {
 		if _, err := alg.Run(g, Params{Backend: backend}); err != nil {

@@ -71,15 +71,18 @@ var relabelViews = struct {
 	m map[*Graph]*Graph
 }{m: map[*Graph]*Graph{}}
 
+// relabelOff reports whether a Params.Relabel mode runs the graph as
+// stored.
+func relabelOff(mode string) bool { return mode == "" || mode == "off" || mode == "none" }
+
 // relabelFor resolves Params.Relabel for one run: the graph itself for
 // the off modes, the (cached) RCM view for "rcm", an error for anything
 // else.
 func relabelFor(g *Graph, p Params) (*Graph, error) {
-	switch p.Relabel {
-	case "", "off", "none":
+	if relabelOff(p.Relabel) {
 		return g, nil
-	case "rcm":
-	default:
+	}
+	if p.Relabel != "rcm" {
 		return nil, fmt.Errorf("unknown Relabel mode %q (valid: off, rcm)", p.Relabel)
 	}
 	relabelViews.Lock()

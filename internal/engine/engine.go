@@ -5,14 +5,14 @@
 //
 // The model semantics — rounds, per-directed-edge message slots,
 // termination accounting — live in the execution core under
-// internal/engine/exec, behind a Backend interface with two
-// implementations: "goroutines" (one goroutine per vertex driven by a
-// single coordinator) and "pool" (sharded workers with an active-set
-// scheduler that parks idle vertices for free and fast-forwards all-idle
-// rounds). Options.Backend selects one; by default runs below
-// exec.PoolThreshold vertices use "goroutines" and larger runs use
-// "pool". Backends are execution strategies only: equal seeds produce
-// byte-identical Results on every backend.
+// internal/engine/exec. An algorithm comes as a blocking Program, a step
+// (state-machine) form, or both (Spec), and the form picks the runner: a
+// step form runs on the goroutine-free step driver, a Program alone on the
+// goroutines runner (one goroutine per vertex driven by a single
+// coordinator). Options.Backend "goroutines" forces the blocking form,
+// the reference the step forms are checked against. Runners are
+// execution strategies only: equal seeds produce byte-identical Results
+// on both.
 //
 // Termination follows the paper's refinement of Feuilloley's definition:
 // when a Program returns its output, the engine broadcasts that final
@@ -48,7 +48,7 @@ type (
 	Result = exec.Result
 	// StepProgram is the state-machine form of a Program: called once per
 	// vertex, it returns the StepFn for the vertex's first turn. The step
-	// backend runs these with no per-vertex goroutine.
+	// driver runs these with no per-vertex goroutine.
 	StepProgram = exec.StepProgram
 	// StepFn is one turn of a step-form program: it receives the messages
 	// delivered since the last turn and returns a Step verdict.
@@ -94,12 +94,10 @@ type Options struct {
 	// MaxRounds aborts the run if the global round count exceeds it,
 	// guarding against livelocked programs. 0 means 4*(n + 64*log2(n) + 64).
 	MaxRounds int
-	// Backend selects the execution backend: "goroutines", "pool",
-	// "step", or ""/"auto" to pick automatically — the step backend
-	// whenever the algorithm has a step form, otherwise by graph size
-	// (pool at or above exec.PoolThreshold vertices). Selecting "step"
-	// for an algorithm without a step form falls back to the automatic
-	// goroutines/pool choice.
+	// Backend selects the execution backend: "goroutines" forces the
+	// blocking form; "step" and ""/"auto" run the step form when there is
+	// one and the goroutines runner otherwise. Any other name is an error
+	// listing the valid ones (see Backends).
 	Backend string
 	// Adv is the compiled fault schedule, or nil for the fault-free run.
 	// A nil adversary costs the hot path one pointer test per flush and
@@ -108,28 +106,25 @@ type Options struct {
 	// StepShards fixes the step backend's shard count independently of
 	// the worker cores driving it (0 means GOMAXPROCS at run start).
 	// Results are invariant in both knobs; a fixed value reproduces the
-	// same shard layout on any machine. Other backends ignore it.
+	// same shard layout on any machine. The goroutines runner ignores it.
 	StepShards int
 }
 
-// Run executes prog on every vertex of g until all vertices terminate,
-// on the backend selected by opts.Backend.
+// Run executes prog on every vertex of g until all vertices terminate.
+// A bare Program has no step form, so it runs on the goroutines runner
+// under every valid opts.Backend.
 func Run(g *graph.Graph, prog Program, opts Options) (*Result, error) {
-	b, err := exec.Select(opts.Backend, g.N())
-	if err != nil {
-		return nil, err
-	}
-	return b.Run(g, prog, exec.Config{Seed: opts.Seed, MaxRounds: opts.MaxRounds, Adv: opts.Adv, StepShards: opts.StepShards})
+	return RunSpec(g, Spec{Program: prog}, opts)
 }
 
-// RunSpec executes spec on the backend selected by opts.Backend,
-// preferring the step form wherever the chosen backend can run it; see
-// Options.Backend for the selection rules. Which form runs is an
-// execution-strategy choice only: equal seeds produce byte-identical
-// Results for both forms on every backend.
+// RunSpec executes spec, running the step form whenever it has one unless
+// opts.Backend forces "goroutines"; see Options.Backend. Which form runs
+// is an execution-strategy choice only: equal seeds produce
+// byte-identical Results for both forms.
 func RunSpec(g *graph.Graph, spec Spec, opts Options) (*Result, error) {
 	return exec.RunSpec(g, spec, opts.Backend, exec.Config{Seed: opts.Seed, MaxRounds: opts.MaxRounds, Adv: opts.Adv, StepShards: opts.StepShards})
 }
 
-// Backends lists the registered execution backends.
+// Backends lists the execution backend names Options.Backend accepts
+// besides ""/"auto".
 func Backends() []string { return exec.Names() }

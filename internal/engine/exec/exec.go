@@ -1,26 +1,24 @@
 // Package exec is the execution core of the LOCAL-model simulator: it
 // separates the model's semantics — synchronous rounds, per-directed-edge
 // message slots, per-vertex termination accounting — from the mechanics of
-// how vertex turns are scheduled, which live behind the Backend interface.
+// how vertex turns are scheduled.
 //
-// Two backends are provided:
+// An algorithm comes in up to two forms (see Spec), and the form picks
+// its runner:
 //
-//   - "goroutines": one goroutine per vertex driven by a single
-//     coordinator, the original engine. Simple, lowest constant overhead
-//     per active vertex, but every live vertex costs one wake and one
-//     barrier crossing per round even while it merely waits.
+//   - the step form (StepProgram) runs on the step driver: vertices are
+//     explicit per-round state machines in flat per-shard arrays, with no
+//     per-vertex goroutine. Sleeping and terminated vertices cost no
+//     scheduler work and all-sleep stretches are fast-forwarded, so
+//     per-round cost tracks the number of *runnable* vertices — which the
+//     paper's Lemma 6.1 shows decays exponentially — not n.
 //
-//   - "pool": vertices are partitioned into contiguous shards (one worker
-//     per GOMAXPROCS core) and scheduled by an explicit active-set
-//     scheduler. Vertices parked in Idle windows cost zero scheduler work
-//     until a message arrives for them or their window expires, rounds in
-//     which every live vertex is parked are fast-forwarded in O(1), and
-//     each round needs one synchronization per shard rather than per
-//     vertex. This is the backend that exploits the paper's Lemma 6.1:
-//     per-round cost tracks the number of *runnable* vertices, which
-//     decays exponentially, not n.
+//   - the blocking form (Program) runs on the goroutines runner: one
+//     goroutine per vertex driven by a single coordinator, every live
+//     vertex woken once per round. It is the reference the step forms are
+//     checked against, and the runner for custom Programs.
 //
-// Both backends execute byte-identical runs for equal seeds: all mutable
+// Both runners execute byte-identical runs for equal seeds: all mutable
 // run state (PRNG streams, inbox order, round counters, message counts) is
 // per-vertex-indexed and independent of scheduling, which the
 // cross-backend equivalence tests enforce for every registered algorithm.
@@ -30,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 
@@ -70,7 +67,7 @@ type Final struct {
 // one final counted round.
 type Program func(api *API) any
 
-// Config configures one run on a backend.
+// Config configures one run.
 type Config struct {
 	// Seed seeds the per-vertex deterministic PRNGs. Two runs with equal
 	// seeds produce identical executions regardless of scheduling and of
@@ -90,7 +87,8 @@ type Config struct {
 	// 0 means GOMAXPROCS at run start. Results are invariant in both the
 	// shard and the worker count — the knob only trades scheduling
 	// granularity against per-shard overhead — but a fixed value makes the
-	// shard layout reproducible across machines. Other backends ignore it.
+	// shard layout reproducible across machines. The goroutines runner
+	// ignores it.
 	StepShards int
 }
 
@@ -147,7 +145,7 @@ type Result struct {
 	Restarts int
 
 	// Shards is the shard count the step backend ran with (the autotuned
-	// value when Config.StepShards was 0); 0 for the other backends.
+	// value when Config.StepShards was 0); 0 on the goroutines runner.
 	// Purely informational: Results are invariant in the shard count.
 	Shards int
 }
@@ -188,111 +186,47 @@ func (r *Result) MaxCommit() int {
 // ErrMaxRounds is returned when a run exceeds Config.MaxRounds.
 var ErrMaxRounds = errors.New("engine: exceeded maximum round count")
 
-// Backend executes vertex Programs under the LOCAL-model round discipline.
-// Implementations must preserve the model semantics exactly: synchronous
-// rounds, inbox ordering by neighbor index, per-vertex PRNG streams, and
-// the termination accounting of Result — equal seeds must yield identical
-// Results on every backend.
-type Backend interface {
-	// Name is the registry key of the backend.
-	Name() string
-	// Run executes prog on every vertex of g until all vertices terminate.
-	Run(g *graph.Graph, prog Program, cfg Config) (*Result, error)
-}
+// Names lists the execution backends a run can name, in sorted order:
+// "goroutines" forces the blocking form, "step" (like "auto" and "")
+// lets the Spec's form pick the runner.
+func Names() []string { return []string{"goroutines", "step"} }
 
-// PoolThreshold is the vertex count at or above which automatic backend
-// selection prefers "pool": below it the goroutine coordinator's lower
-// constant overhead wins, above it the active-set scheduler's
-// O(runnable)-per-round cost does.
-const PoolThreshold = 1 << 14
-
-var backends = map[string]Backend{}
-
-// Register adds a backend to the registry; it panics on duplicate names.
-func Register(b Backend) {
-	if _, dup := backends[b.Name()]; dup {
-		panic("exec: duplicate backend " + b.Name())
-	}
-	backends[b.Name()] = b
-}
-
-func init() {
-	Register(goroutinesBackend{})
-	Register(poolBackend{})
-	Register(stepBackend{})
-}
-
-// Names lists the registered backends in sorted order.
-func Names() []string {
-	out := make([]string, 0, len(backends))
-	for name := range backends {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Lookup returns the backend registered under name. The error for an
-// unknown name lists every registered backend (plus the "auto" pseudo
-// name) so callers passing user input get the valid choices back.
-func Lookup(name string) (Backend, error) {
-	if b, ok := backends[name]; ok {
-		return b, nil
-	}
-	return nil, fmt.Errorf("engine: unknown backend %q (registered backends: %s, or \"auto\")",
-		name, strings.Join(Names(), ", "))
-}
-
-// Select resolves a backend choice for an n-vertex run. The empty string
-// and "auto" select "goroutines" below PoolThreshold vertices and "pool"
-// at or above it; any other name selects that backend explicitly.
-func Select(name string, n int) (Backend, error) {
-	if name == "" || name == "auto" {
-		if n >= PoolThreshold {
-			return backends["pool"], nil
-		}
-		return backends["goroutines"], nil
-	}
-	return Lookup(name)
-}
-
-// Spec describes an algorithm to a backend: the blocking goroutine form
+// Spec describes an algorithm to the engine: the blocking goroutine form
 // and, when the algorithm has been migrated, the equivalent step
 // (state-machine) form. The two forms express the same executions; which
 // one runs is an execution-strategy choice that never changes the Result.
 type Spec struct {
-	// Program is the blocking per-vertex form; required.
+	// Program is the blocking per-vertex form; required unless Step is
+	// set.
 	Program Program
 	// Step is the per-round state-machine form, or nil if the algorithm
 	// has not been migrated.
 	Step StepProgram
 }
 
-// RunSpec resolves name like Select and executes spec on the chosen
-// backend, preferring the step form wherever it can run: ""/"auto" with a
-// step form selects "step" outright (the step driver beats both blocking
-// backends at every size), and any explicitly chosen backend that
-// implements StepRunner uses the step form. Selecting "step" for an
-// algorithm without a step form falls back to the automatic
-// goroutines/pool choice.
+// RunSpec executes spec on g. The form picks the runner: the step driver
+// runs spec.Step whenever it is set, otherwise the goroutines runner runs
+// spec.Program. name "goroutines" forces the blocking form; "step",
+// "auto" and "" leave the choice to the form; any other name is an error
+// listing the valid ones.
 func RunSpec(g *graph.Graph, spec Spec, name string, cfg Config) (*Result, error) {
 	if spec.Program == nil && spec.Step == nil {
 		return nil, errors.New("engine: empty Spec: no Program and no StepProgram")
 	}
-	if (name == "" || name == "auto") && spec.Step != nil {
-		name = "step"
+	switch name {
+	case "", "auto", "step":
+		if spec.Step != nil {
+			return runStep(g, spec.Step, cfg)
+		}
+	case "goroutines":
+		if spec.Program == nil {
+			return nil, errors.New("engine: backend \"goroutines\" needs the blocking form, but the Spec has only a step form")
+		}
+	default:
+		return nil, fmt.Errorf("engine: unknown backend %q (backends: %s, or \"auto\")",
+			name, strings.Join(Names(), ", "))
 	}
-	b, err := Select(name, g.N())
-	if err != nil {
-		return nil, err
-	}
-	if sr, ok := b.(StepRunner); ok && spec.Step != nil {
-		return sr.RunStep(g, spec.Step, cfg)
-	}
-	if spec.Program == nil {
-		return nil, fmt.Errorf("engine: backend %q needs the blocking form, but the Spec has only a step form", b.Name())
-	}
-	return b.Run(g, spec.Program, cfg)
+	return runGoroutines(g, spec.Program, cfg)
 }
 
 // cell is one directed-edge message slot, written only by the edge's tail
@@ -331,8 +265,8 @@ type runScratch struct {
 	msgCount []int64
 	panics   []any
 	// apis and stepFns back the step backend's flat per-vertex machine
-	// state (API handles and pending turns); the other backends leave them
-	// untouched.
+	// state (API handles and pending turns); the goroutines runner leaves
+	// them untouched.
 	apis    []API
 	stepFns []StepFn
 }
@@ -986,9 +920,7 @@ func (a *API) Next() []Msg {
 // in the paper's RoundSum accounting.
 //
 // Messages accumulate into the vertex's reused receive buffer (see Next),
-// so a long quiet window allocates nothing per round; on the pool backend
-// the vertex is additionally parked for the whole window and costs no
-// scheduler work until a message arrives or the window expires.
+// so a long quiet window allocates nothing per round.
 func (a *API) Idle(k int) []Msg {
 	a.inbox = a.rt.idle(a, k, a.inbox[:0])
 	return a.inbox

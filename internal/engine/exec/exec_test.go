@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	gort "runtime"
@@ -11,9 +10,10 @@ import (
 	"vavg/internal/graph"
 )
 
-// withShards forces the pool backend to use at least n shards so the
-// cross-shard paths (message wakes, pending drains) are exercised even on
-// single-core test machines.
+// withShards raises GOMAXPROCS to n for the test, which gives the step
+// driver at least n shards by default, so the cross-shard paths (staged
+// lanes, message wakes, pending drains) are exercised even on single-core
+// test machines.
 func withShards(t *testing.T, n int) {
 	t.Helper()
 	old := gort.GOMAXPROCS(n)
@@ -171,232 +171,66 @@ func sortedNames[V any](m map[string]V) []string {
 	return names
 }
 
-func runBoth(t *testing.T, g *graph.Graph, prog Program, cfg Config) (*Result, *Result) {
-	t.Helper()
-	gb, _ := Lookup("goroutines")
-	pb, _ := Lookup("pool")
-	rg, err := gb.Run(g, prog, cfg)
-	if err != nil {
-		t.Fatalf("goroutines: %v", err)
-	}
-	rp, err := pb.Run(g, prog, cfg)
-	if err != nil {
-		t.Fatalf("pool: %v", err)
-	}
-	return rg, rp
+// dual bundles the blocking and the step form of the named synthetic
+// program.
+func dual(pname string) Spec {
+	return Spec{Program: testPrograms()[pname], Step: stepTestPrograms()[pname]}
 }
 
-func requireEqualResults(t *testing.T, label string, rg, rp *Result) {
+// runBoth runs spec under both backend names: the goroutines reference on
+// the blocking form first, then the step driver on the step form.
+func runBoth(t *testing.T, g *graph.Graph, spec Spec, cfg Config) (*Result, *Result) {
 	t.Helper()
-	if !reflect.DeepEqual(rg.Rounds, rp.Rounds) {
-		t.Errorf("%s: Rounds differ:\n goroutines %v\n pool %v", label, rg.Rounds, rp.Rounds)
+	var res [2]*Result
+	for i, name := range Names() {
+		r, err := RunSpec(g, spec, name, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		res[i] = r
 	}
-	if !reflect.DeepEqual(rg.CommitRounds, rp.CommitRounds) {
+	return res[0], res[1]
+}
+
+func requireEqualResults(t *testing.T, label string, ra, rb *Result) {
+	t.Helper()
+	if !reflect.DeepEqual(ra.Rounds, rb.Rounds) {
+		t.Errorf("%s: Rounds differ:\n %v\n %v", label, ra.Rounds, rb.Rounds)
+	}
+	if !reflect.DeepEqual(ra.CommitRounds, rb.CommitRounds) {
 		t.Errorf("%s: CommitRounds differ", label)
 	}
-	if !reflect.DeepEqual(rg.Output, rp.Output) {
+	if !reflect.DeepEqual(ra.Output, rb.Output) {
 		t.Errorf("%s: Outputs differ", label)
 	}
-	if !reflect.DeepEqual(rg.ActivePerRound, rp.ActivePerRound) {
-		t.Errorf("%s: ActivePerRound differ:\n goroutines %v\n pool %v", label, rg.ActivePerRound, rp.ActivePerRound)
+	if !reflect.DeepEqual(ra.ActivePerRound, rb.ActivePerRound) {
+		t.Errorf("%s: ActivePerRound differ:\n %v\n %v", label, ra.ActivePerRound, rb.ActivePerRound)
 	}
-	if rg.TotalRounds != rp.TotalRounds || rg.RoundSum != rp.RoundSum || rg.Messages != rp.Messages {
-		t.Errorf("%s: totals differ: goroutines (%d,%d,%d) pool (%d,%d,%d)", label,
-			rg.TotalRounds, rg.RoundSum, rg.Messages, rp.TotalRounds, rp.RoundSum, rp.Messages)
+	if ra.TotalRounds != rb.TotalRounds || ra.RoundSum != rb.RoundSum || ra.Messages != rb.Messages {
+		t.Errorf("%s: totals differ: (%d,%d,%d) vs (%d,%d,%d)", label,
+			ra.TotalRounds, ra.RoundSum, ra.Messages, rb.TotalRounds, rb.RoundSum, rb.Messages)
 	}
 }
 
+// TestCrossBackendEquivalence runs every synthetic program under every
+// backend name through RunSpec on a multi-shard layout: the goroutines
+// reference and the step driver must agree byte for byte.
 func TestCrossBackendEquivalence(t *testing.T) {
 	withShards(t, 4)
-	graphs, progs := testGraphs(), testPrograms()
+	graphs := testGraphs()
 	for _, gname := range sortedNames(graphs) {
-		for _, pname := range sortedNames(progs) {
+		for _, pname := range sortedNames(testPrograms()) {
 			for _, seed := range []int64{1, 42} {
 				label := fmt.Sprintf("%s/%s/seed%d", gname, pname, seed)
-				rg, rp := runBoth(t, graphs[gname], progs[pname], Config{Seed: seed})
-				requireEqualResults(t, label, rg, rp)
+				rg, rs := runBoth(t, graphs[gname], dual(pname), Config{Seed: seed})
+				requireEqualResults(t, label, rg, rs)
 			}
 		}
-	}
-}
-
-func TestPoolSingleShardEquivalence(t *testing.T) {
-	withShards(t, 1)
-	g := graph.ForestUnion(120, 3, 11)
-	progs := testPrograms()
-	for _, pname := range sortedNames(progs) {
-		rg, rp := runBoth(t, g, progs[pname], Config{Seed: 5})
-		requireEqualResults(t, "1shard/"+pname, rg, rp)
-	}
-}
-
-// TestPoolIdleMessageWake pins the subtle case the active-set scheduler
-// must get right: a message flushed into the middle of a long idle window
-// must wake the parked receiver for exactly that round (or the buffered
-// slot would be overwritten by a later send) and be returned in arrival
-// order.
-func TestPoolIdleMessageWake(t *testing.T) {
-	withShards(t, 3)
-	g := graph.Path(2)
-	prog := func(api *API) any {
-		if api.ID() == 0 {
-			// Two sends to the same neighbor in distinct rounds; without a
-			// mid-window wake the second would overwrite the first.
-			api.Idle(3)
-			api.Send(0, "early")
-			api.Idle(4)
-			api.Send(0, "late")
-			api.Idle(3)
-			return nil
-		}
-		var got []string
-		for _, m := range api.Idle(14) {
-			if s, ok := m.Data.(string); ok {
-				got = append(got, s)
-			}
-		}
-		return fmt.Sprint(got)
-	}
-	pb, _ := Lookup("pool")
-	res, err := pb.Run(g, prog, Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Output[1] != "[early late]" {
-		t.Errorf("idle window collected %v, want [early late]", res.Output[1])
-	}
-	gb, _ := Lookup("goroutines")
-	rg, err := gb.Run(g, prog, Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqualResults(t, "idle-wake", rg, res)
-}
-
-// TestPoolFastForward checks that an all-idle stretch is skipped without
-// distorting the accounting: ActivePerRound still pays every round.
-func TestPoolFastForward(t *testing.T) {
-	withShards(t, 2)
-	g := graph.Ring(16)
-	prog := func(api *API) any {
-		api.Idle(500)
-		return api.Round()
-	}
-	rg, rp := runBoth(t, g, prog, Config{Seed: 9})
-	requireEqualResults(t, "fast-forward", rg, rp)
-	if len(rp.ActivePerRound) != 501 {
-		t.Errorf("ActivePerRound has %d entries, want 501", len(rp.ActivePerRound))
-	}
-}
-
-func TestPoolAccountingIdentities(t *testing.T) {
-	withShards(t, 4)
-	g := graph.ForestUnion(300, 2, 13)
-	prog := func(api *API) any {
-		api.Idle(api.ID() % 23)
-		return api.ID()
-	}
-	pb, _ := Lookup("pool")
-	res, err := pb.Run(g, prog, Config{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum int64
-	for _, a := range res.ActivePerRound {
-		sum += int64(a)
-	}
-	if sum != res.RoundSum {
-		t.Errorf("sum of ActivePerRound = %d, RoundSum = %d", sum, res.RoundSum)
-	}
-	if res.VertexAverage() > float64(res.TotalRounds) {
-		t.Errorf("VertexAverage %.2f exceeds TotalRounds %d", res.VertexAverage(), res.TotalRounds)
-	}
-}
-
-func TestPoolMaxRoundsAborts(t *testing.T) {
-	withShards(t, 2)
-	g := graph.Ring(8)
-	spin := func(api *API) any {
-		for {
-			api.Next()
-		}
-	}
-	pb, _ := Lookup("pool")
-	if _, err := pb.Run(g, spin, Config{MaxRounds: 40}); !errors.Is(err, ErrMaxRounds) {
-		t.Fatalf("spin err = %v, want ErrMaxRounds", err)
-	}
-	// Vertices parked in an over-long idle window must be reachable by the
-	// abort too (the fast-forward path must stop at MaxRounds).
-	park := func(api *API) any {
-		api.Idle(1 << 20)
-		return nil
-	}
-	if _, err := pb.Run(g, park, Config{MaxRounds: 40}); !errors.Is(err, ErrMaxRounds) {
-		t.Fatalf("park err = %v, want ErrMaxRounds", err)
-	}
-}
-
-func TestPoolVertexPanicPropagates(t *testing.T) {
-	withShards(t, 2)
-	g := graph.Ring(6)
-	prog := func(api *API) any {
-		if api.ID() == 3 {
-			panic("boom")
-		}
-		api.Idle(2)
-		return nil
-	}
-	pb, _ := Lookup("pool")
-	if _, err := pb.Run(g, prog, Config{Seed: 1}); err == nil {
-		t.Fatal("expected error from panicking vertex")
-	}
-}
-
-func TestPoolDeterminismAcrossRuns(t *testing.T) {
-	withShards(t, 4)
-	g := graph.ForestUnion(180, 3, 17)
-	prog := func(api *API) any {
-		api.Idle(api.Rand().Intn(6))
-		api.Broadcast(api.Rand().Int())
-		api.Next()
-		return api.Rand().Int63()
-	}
-	pb, _ := Lookup("pool")
-	r1, err := pb.Run(g, prog, Config{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := pb.Run(g, prog, Config{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqualResults(t, "determinism", r1, r2)
-}
-
-func TestSelect(t *testing.T) {
-	b, err := Select("", PoolThreshold-1)
-	if err != nil || b.Name() != "goroutines" {
-		t.Errorf("Select small = %v, %v", b, err)
-	}
-	b, err = Select("auto", PoolThreshold)
-	if err != nil || b.Name() != "pool" {
-		t.Errorf("Select large = %v, %v", b, err)
-	}
-	b, err = Select("pool", 4)
-	if err != nil || b.Name() != "pool" {
-		t.Errorf("Select explicit = %v, %v", b, err)
-	}
-	if _, err = Select("nope", 4); err == nil {
-		t.Error("Select unknown backend should fail")
-	}
-	want := []string{"goroutines", "pool", "step"}
-	if !reflect.DeepEqual(Names(), want) {
-		t.Errorf("Names() = %v, want %v", Names(), want)
 	}
 }
 
 // TestScratchReuseIsClean exercises the sync.Pool run-scratch recycling:
-// interleaved runs of different sizes and programs on both backends must
+// interleaved runs of different sizes and programs on both runners must
 // reproduce the results of fresh first runs exactly, proving recycled
 // cell slabs, done flags, and message counters carry no state between
 // runs (shrinking reslices must zero the reused prefix).
@@ -421,8 +255,8 @@ func TestScratchReuseIsClean(t *testing.T) {
 	})
 	cfg := Config{Seed: 13, MaxRounds: 1 << 20}
 	for _, k := range order {
-		rg, rp := runBoth(t, graphs[k.g], progs[k.p], cfg)
-		requireEqualResults(t, "baseline/"+k.g+"/"+k.p, rg, rp)
+		rg, rs := runBoth(t, graphs[k.g], dual(k.p), cfg)
+		requireEqualResults(t, "baseline/"+k.g+"/"+k.p, rg, rs)
 		base[k] = rg
 	}
 	// Re-run the whole matrix twice more: every run now draws recycled
@@ -430,8 +264,8 @@ func TestScratchReuseIsClean(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		for i := len(order) - 1; i >= 0; i-- {
 			k := order[i]
-			rg, rp := runBoth(t, graphs[k.g], progs[k.p], cfg)
-			requireEqualResults(t, fmt.Sprintf("reuse%d/%s/%s vs pool", pass, k.g, k.p), rg, rp)
+			rg, rs := runBoth(t, graphs[k.g], dual(k.p), cfg)
+			requireEqualResults(t, fmt.Sprintf("reuse%d/%s/%s vs step", pass, k.g, k.p), rg, rs)
 			requireEqualResults(t, fmt.Sprintf("reuse%d/%s/%s vs fresh", pass, k.g, k.p), base[k], rg)
 		}
 	}

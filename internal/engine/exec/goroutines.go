@@ -6,14 +6,11 @@ import (
 	"vavg/internal/graph"
 )
 
-// goroutinesBackend is the original engine: one goroutine per vertex, a
-// single coordinator goroutine driving global rounds. Every live vertex is
-// woken through its own channel and crosses one WaitGroup barrier per
-// round, whether it has work or is merely waiting out a window.
-type goroutinesBackend struct{}
-
-func (goroutinesBackend) Name() string { return "goroutines" }
-
+// goRuntime is the blocking-form runner, the original engine: one
+// goroutine per vertex, a single coordinator goroutine driving global
+// rounds. Every live vertex is woken through its own channel and crosses
+// one WaitGroup barrier per round, whether it has work or is merely
+// waiting out a window.
 type goRuntime struct {
 	c    *core
 	wg   sync.WaitGroup
@@ -56,7 +53,9 @@ func (rt *goRuntime) idle(a *API, k int, buf []Msg) []Msg {
 	return buf
 }
 
-func (goroutinesBackend) Run(g *graph.Graph, prog Program, cfg Config) (*Result, error) {
+// runGoroutines executes the blocking Program prog on every vertex of g
+// until all vertices terminate.
+func runGoroutines(g *graph.Graph, prog Program, cfg Config) (*Result, error) {
 	n := g.N()
 	maxRounds := cfg.maxRounds(n)
 	c := newCore(g, cfg)

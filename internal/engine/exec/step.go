@@ -26,7 +26,7 @@ import (
 // StepFn whose Step verdict (Continue / Sleep / Done) stands in for the
 // blocking call that ended the block. Because all observable run state
 // (PRNG streams, inbox order, round and message accounting) is keyed by
-// (vertex, round) exactly as in the other backends, a faithful
+// (vertex, round) exactly as on the goroutines runner, a faithful
 // translation produces byte-identical Results — the cross-backend
 // equivalence suite enforces this for every dual-registered algorithm.
 //
@@ -106,29 +106,10 @@ func Done(output any) Step {
 	return Step{done: true, out: output}
 }
 
-// StepRunner is implemented by backends that execute step-form programs
-// natively.
-type StepRunner interface {
-	RunStep(g *graph.Graph, prog StepProgram, cfg Config) (*Result, error)
-}
-
-// stepBackend drives step-form programs with shard workers over flat
-// state arrays. For blocking Programs (algorithms without a step form) it
-// falls back to the automatic goroutines/pool choice, so selecting
-// "step" is always safe.
-type stepBackend struct{}
-
-func (stepBackend) Name() string { return "step" }
-
-// Run executes a blocking Program by delegating to the automatic
-// goroutines/pool selection: the step driver itself only runs StepForms,
-// and an explicit Backend="step" must still work for every algorithm.
-func (stepBackend) Run(g *graph.Graph, prog Program, cfg Config) (*Result, error) {
-	b, err := Select("auto", g.N())
-	if err != nil {
-		return nil, err
-	}
-	return b.Run(g, prog, cfg)
+// idleEntry is a (round, vertex) event: a sleep expiry or a message wake.
+type idleEntry struct {
+	round int32
+	v     int32
 }
 
 // laneEntry is one staged cross-shard delivery: slot is the receiver-side
@@ -259,8 +240,8 @@ func (rt *stepRuntime) deliver(a *API, p int32, c cell) {
 // buffers recycle a slot after two rounds, so an undrained delivery would
 // be lost or misread). Deduplicated to one pending entry per (recv, t);
 // entries for receivers that turn out to be active or terminated are
-// dropped at drain time, as in the pool backend. Callers must own the
-// shard for the current phase.
+// dropped at drain time. Callers must own the shard for the current
+// phase.
 //
 //vavg:hotpath
 func (s *stepShard) noteDelivery(recv, t int32) {
@@ -352,7 +333,7 @@ func (s *stepShard) runRound(rt *stepRuntime, apis []API, w int32) {
 	// Crash events first: a victim is retired at the top of its crash
 	// round, before any turn is taken — it counts as live in this round
 	// (ActivePerRound already includes it) but executes nothing, exactly
-	// like the blocking backends' wake-site unwinding. Clearing wakeAt
+	// like the goroutines runner's wake-site unwinding. Clearing wakeAt
 	// invalidates its stale timer entry and makes the pending drain below
 	// skip it; clearing fns marks the slot for a fresh boot on restart.
 	if c.adv != nil {
@@ -556,8 +537,8 @@ func (rt *stepRuntime) nextEventRound(cur int) int {
 	if next == math.MaxInt {
 		// Live vertices but no scheduled turn: cannot happen for
 		// well-formed machines (every live vertex is active or sleeping),
-		// but advance round by round until MaxRounds aborts, as the other
-		// backends do under livelock.
+		// but advance round by round until MaxRounds aborts, as the
+		// goroutines runner does under livelock.
 		return cur + 1
 	}
 	return next
@@ -607,13 +588,13 @@ const (
 	phaseMerge
 )
 
-// RunStep executes a step-form program: per-round cost is proportional to
+// runStep executes a step-form program: per-round cost is proportional to
 // the vertices due a turn plus the messages delivered, with zero
 // goroutines beyond one persistent worker per core (and none at all with
 // a single worker). cfg.StepShards fixes the shard layout independently
 // of the worker count; see the package comment above for the two-phase
 // round structure that keeps multicore Results byte-identical.
-func (stepBackend) RunStep(g *graph.Graph, prog StepProgram, cfg Config) (*Result, error) {
+func runStep(g *graph.Graph, prog StepProgram, cfg Config) (*Result, error) {
 	n := g.N()
 	maxRounds := cfg.maxRounds(n)
 	c := newCore(g, cfg)
@@ -767,7 +748,7 @@ func (stepBackend) RunStep(g *graph.Graph, prog StepProgram, cfg Config) (*Resul
 		// Reboot vertices whose restart round is the new round: fns was
 		// cleared at crash time, so their next turn boots a fresh
 		// incarnation. They join the active order for this round and count
-		// in its ActivePerRound entry, matching the other backends.
+		// in its ActivePerRound entry, matching the goroutines runner.
 		spawned := 0
 		if c.adv != nil {
 			for _, e := range rt.restarts.take(int32(round)) {
@@ -797,4 +778,45 @@ func (stepBackend) RunStep(g *graph.Graph, prog StepProgram, cfg Config) (*Resul
 		res.Shards = nshards
 	}
 	return res, err
+}
+
+// heapPush / heapPop maintain a binary min-heap of idleEntry by round.
+func heapPush(h *[]idleEntry, e idleEntry) {
+	*h = append(*h, e)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if s[p].round <= s[i].round {
+			break
+		}
+		s[p], s[i] = s[i], s[p]
+		i = p
+	}
+}
+
+func heapPop(h *[]idleEntry) idleEntry {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	*h = s
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		min := i
+		if l < len(s) && s[l].round < s[min].round {
+			min = l
+		}
+		if r < len(s) && s[r].round < s[min].round {
+			min = r
+		}
+		if min == i {
+			break
+		}
+		s[i], s[min] = s[min], s[i]
+		i = min
+	}
+	return top
 }

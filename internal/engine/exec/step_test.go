@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	gort "runtime"
 	"strings"
 	"testing"
@@ -176,35 +177,33 @@ func stepTestPrograms() map[string]StepProgram {
 	}
 }
 
-func runStep(t *testing.T, g *graph.Graph, prog StepProgram, cfg Config) *Result {
+func mustRunStep(t *testing.T, g *graph.Graph, prog StepProgram, cfg Config) *Result {
 	t.Helper()
-	res, err := stepBackend{}.RunStep(g, prog, cfg)
+	res, err := runStep(g, prog, cfg)
 	if err != nil {
 		t.Fatalf("step: %v", err)
 	}
 	return res
 }
 
-// TestStepBackendEquivalence is the tentpole gate: the step twin of every
-// synthetic program must reproduce the goroutine backend's Result byte
-// for byte on every test graph.
+// TestStepBackendEquivalence is the single-shard gate: the step twin of
+// every synthetic program must reproduce the goroutines runner's Result
+// byte for byte on every test graph. TestCrossBackendEquivalence covers
+// the multi-shard layout.
 func TestStepBackendEquivalence(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		withShards(t, shards)
-		sprogs := stepTestPrograms()
-		graphs, progs := testGraphs(), testPrograms()
-		for _, gname := range sortedNames(graphs) {
-			for _, pname := range sortedNames(progs) {
-				for _, seed := range []int64{1, 42} {
-					label := fmt.Sprintf("%dshards/%s/%s/seed%d", shards, gname, pname, seed)
-					gb, _ := Lookup("goroutines")
-					rg, err := gb.Run(graphs[gname], progs[pname], Config{Seed: seed})
-					if err != nil {
-						t.Fatalf("%s: goroutines: %v", label, err)
-					}
-					rs := runStep(t, graphs[gname], sprogs[pname], Config{Seed: seed})
-					requireEqualResults(t, label, rg, rs)
+	withShards(t, 1)
+	sprogs := stepTestPrograms()
+	graphs, progs := testGraphs(), testPrograms()
+	for _, gname := range sortedNames(graphs) {
+		for _, pname := range sortedNames(progs) {
+			for _, seed := range []int64{1, 42} {
+				label := fmt.Sprintf("1shard/%s/%s/seed%d", gname, pname, seed)
+				rg, err := runGoroutines(graphs[gname], progs[pname], Config{Seed: seed})
+				if err != nil {
+					t.Fatalf("%s: goroutines: %v", label, err)
 				}
+				rs := mustRunStep(t, graphs[gname], sprogs[pname], Config{Seed: seed})
+				requireEqualResults(t, label, rg, rs)
 			}
 		}
 	}
@@ -248,7 +247,7 @@ func TestStepWorkerInvariance(t *testing.T) {
 		t.Helper()
 		old := gort.GOMAXPROCS(workers)
 		defer gort.GOMAXPROCS(old)
-		res, err := stepBackend{}.RunStep(g, prog, Config{Seed: 33, MaxRounds: 2048, Adv: adv, StepShards: shards})
+		res, err := runStep(g, prog, Config{Seed: 33, MaxRounds: 2048, Adv: adv, StepShards: shards})
 		if res == nil {
 			t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
 		}
@@ -314,9 +313,62 @@ func TestStepIdleMessageWake(t *testing.T) {
 			})
 		}
 	}
-	res := runStep(t, g, prog, Config{Seed: 1})
+	res := mustRunStep(t, g, prog, Config{Seed: 1})
 	if res.Output[1] != "[early late]" {
 		t.Errorf("sleep window collected %v, want [early late]", res.Output[1])
+	}
+}
+
+// TestStepFastForward checks that an all-sleep stretch is skipped without
+// distorting the accounting: ActivePerRound still pays every round, and
+// the Result equals the goroutines runner's, which grinds through each.
+func TestStepFastForward(t *testing.T) {
+	withShards(t, 2)
+	g := graph.Ring(16)
+	spec := Spec{
+		Program: func(api *API) any {
+			api.Idle(500)
+			return api.Round()
+		},
+		Step: func(api *API) StepFn {
+			return func(api *API, _ []Msg) Step {
+				return Sleep(500, func(api *API, _ []Msg) Step { return Done(api.Round()) })
+			}
+		},
+	}
+	rg, rs := runBoth(t, g, spec, Config{Seed: 9})
+	requireEqualResults(t, "fast-forward", rg, rs)
+	if len(rs.ActivePerRound) != 501 {
+		t.Errorf("ActivePerRound has %d entries, want 501", len(rs.ActivePerRound))
+	}
+}
+
+// TestStepAccountingIdentities checks RoundSum == sum(ActivePerRound) and
+// VertexAverage <= TotalRounds under staggered sleeps on four shards.
+func TestStepAccountingIdentities(t *testing.T) {
+	withShards(t, 4)
+	g := graph.ForestUnion(300, 2, 13)
+	prog := func(api *API) StepFn {
+		return func(api *API, _ []Msg) Step {
+			if k := api.ID() % 23; k > 0 {
+				return Sleep(k, func(api *API, _ []Msg) Step { return Done(api.ID()) })
+			}
+			return Done(api.ID())
+		}
+	}
+	res := mustRunStep(t, g, prog, Config{Seed: 3, StepShards: 4})
+	if res.Shards != 4 {
+		t.Fatalf("ran on %d shards, want 4", res.Shards)
+	}
+	var sum int64
+	for _, a := range res.ActivePerRound {
+		sum += int64(a)
+	}
+	if sum != res.RoundSum {
+		t.Errorf("sum of ActivePerRound = %d, RoundSum = %d", sum, res.RoundSum)
+	}
+	if res.VertexAverage() > float64(res.TotalRounds) {
+		t.Errorf("VertexAverage %.2f exceeds TotalRounds %d", res.VertexAverage(), res.TotalRounds)
 	}
 }
 
@@ -328,7 +380,7 @@ func TestStepMaxRoundsAborts(t *testing.T) {
 		fn = func(api *API, _ []Msg) Step { return Continue(fn) }
 		return fn
 	}
-	if _, err := (stepBackend{}).RunStep(g, spin, Config{MaxRounds: 40}); !errors.Is(err, ErrMaxRounds) {
+	if _, err := runStep(g, spin, Config{MaxRounds: 40}); !errors.Is(err, ErrMaxRounds) {
 		t.Fatalf("spin err = %v, want ErrMaxRounds", err)
 	}
 	// Machines parked in an over-long sleep must be reachable by the abort
@@ -338,7 +390,7 @@ func TestStepMaxRoundsAborts(t *testing.T) {
 			return Sleep(1<<20, func(api *API, _ []Msg) Step { return Done(nil) })
 		}
 	}
-	if _, err := (stepBackend{}).RunStep(g, park, Config{MaxRounds: 40}); !errors.Is(err, ErrMaxRounds) {
+	if _, err := runStep(g, park, Config{MaxRounds: 40}); !errors.Is(err, ErrMaxRounds) {
 		t.Fatalf("park err = %v, want ErrMaxRounds", err)
 	}
 }
@@ -355,7 +407,7 @@ func TestStepVertexPanicPropagates(t *testing.T) {
 			return Sleep(2, func(api *API, _ []Msg) Step { return Done(nil) })
 		}
 	}
-	if _, err := (stepBackend{}).RunStep(g, turnPanic, Config{Seed: 1}); err == nil || !strings.Contains(err.Error(), "vertex 3") {
+	if _, err := runStep(g, turnPanic, Config{Seed: 1}); err == nil || !strings.Contains(err.Error(), "vertex 3") {
 		t.Fatalf("turn panic err = %v, want vertex 3 failure", err)
 	}
 	// A panic while building the machine.
@@ -365,7 +417,7 @@ func TestStepVertexPanicPropagates(t *testing.T) {
 		}
 		return func(api *API, _ []Msg) Step { return Done(nil) }
 	}
-	if _, err := (stepBackend{}).RunStep(g, bootPanic, Config{Seed: 1}); err == nil || !strings.Contains(err.Error(), "vertex 2") {
+	if _, err := runStep(g, bootPanic, Config{Seed: 1}); err == nil || !strings.Contains(err.Error(), "vertex 2") {
 		t.Fatalf("boot panic err = %v, want vertex 2 failure", err)
 	}
 	// Blocking round-crossing calls are a step-program bug, reported as a
@@ -376,7 +428,7 @@ func TestStepVertexPanicPropagates(t *testing.T) {
 			return Done(nil)
 		}
 	}
-	if _, err := (stepBackend{}).RunStep(g, callsNext, Config{Seed: 1}); err == nil || !strings.Contains(err.Error(), "API.Next") {
+	if _, err := runStep(g, callsNext, Config{Seed: 1}); err == nil || !strings.Contains(err.Error(), "API.Next") {
 		t.Fatalf("Next-in-step err = %v, want API.Next guidance", err)
 	}
 }
@@ -398,8 +450,8 @@ func TestStepDeterminismAcrossRuns(t *testing.T) {
 			return relay(api, nil)
 		}
 	}
-	r1 := runStep(t, g, prog, Config{Seed: 42})
-	r2 := runStep(t, g, prog, Config{Seed: 42})
+	r1 := mustRunStep(t, g, prog, Config{Seed: 42})
+	r2 := mustRunStep(t, g, prog, Config{Seed: 42})
 	requireEqualResults(t, "step-determinism", r1, r2)
 }
 
@@ -415,60 +467,64 @@ func TestStepScratchReuseIsClean(t *testing.T) {
 	base := map[string]*Result{}
 	for _, g := range graphs {
 		for _, pn := range names {
-			base[g.Name+"/"+pn] = runStep(t, g, sprogs[pn], cfg)
+			base[g.Name+"/"+pn] = mustRunStep(t, g, sprogs[pn], cfg)
 		}
 	}
 	for pass := 0; pass < 2; pass++ {
 		for i := len(graphs) - 1; i >= 0; i-- {
 			g := graphs[i]
 			for _, pn := range names {
-				r := runStep(t, g, sprogs[pn], cfg)
+				r := mustRunStep(t, g, sprogs[pn], cfg)
 				requireEqualResults(t, fmt.Sprintf("reuse%d/%s/%s", pass, g.Name, pn), base[g.Name+"/"+pn], r)
 			}
 		}
 	}
 }
 
-// TestStepFallback covers the blocking-form paths of the step backend:
-// Backend.Run on a goroutine Program delegates to the automatic choice,
-// and RunSpec falls back when the Spec has no step form.
+// TestStepFallback covers the blocking-form path: a Spec with no step form
+// runs on the goroutines runner under every backend name, including
+// "step".
 func TestStepFallback(t *testing.T) {
 	withShards(t, 2)
 	g := graph.Ring(32)
 	prog := testPrograms()["flood"]
-	gb, _ := Lookup("goroutines")
-	want, err := gb.Run(g, prog, Config{Seed: 7})
+	want, err := runGoroutines(g, prog, Config{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, _ := Lookup("step")
-	got, err := sb.Run(g, prog, Config{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"", "auto", "step", "goroutines"} {
+		got, err := RunSpec(g, Spec{Program: prog}, name, Config{Seed: 7})
+		if err != nil {
+			t.Fatalf("RunSpec(%q): %v", name, err)
+		}
+		if got.Shards != 0 {
+			t.Errorf("RunSpec(%q) ran the step driver (%d shards) without a step form", name, got.Shards)
+		}
+		requireEqualResults(t, "fallback/"+name, want, got)
 	}
-	requireEqualResults(t, "step-fallback", want, got)
-
-	viaSpec, err := RunSpec(g, Spec{Program: prog}, "step", Config{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqualResults(t, "runspec-fallback", want, viaSpec)
 }
 
-// TestRunSpec covers form selection: auto prefers the step form, explicit
-// blocking backends use the blocking form, and malformed Specs error.
+// TestRunSpec covers form selection: the step form runs whenever it is
+// present unless "goroutines" forces the blocking form, malformed Specs
+// error, and retired or unknown names are rejected.
 func TestRunSpec(t *testing.T) {
 	withShards(t, 2)
 	g := graph.Ring(48)
-	spec := Spec{Program: testPrograms()["flood"], Step: stepTestPrograms()["flood"]}
+	spec := dual("flood")
 	want, err := RunSpec(g, spec, "goroutines", Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"", "auto", "step", "pool"} {
+	if want.Shards != 0 {
+		t.Errorf("goroutines ran the step driver (%d shards)", want.Shards)
+	}
+	for _, name := range []string{"", "auto", "step"} {
 		got, err := RunSpec(g, spec, name, Config{Seed: 3})
 		if err != nil {
 			t.Fatalf("RunSpec(%q): %v", name, err)
+		}
+		if got.Shards == 0 {
+			t.Errorf("RunSpec(%q) skipped the step form", name)
 		}
 		requireEqualResults(t, "runspec/"+name, want, got)
 	}
@@ -476,23 +532,31 @@ func TestRunSpec(t *testing.T) {
 		t.Error("empty Spec should fail")
 	}
 	if _, err := RunSpec(g, Spec{Step: spec.Step}, "goroutines", Config{}); err == nil {
-		t.Error("step-only Spec on a blocking backend should fail")
+		t.Error("step-only Spec on the goroutines runner should fail")
 	}
-	if _, err := RunSpec(g, spec, "nope", Config{}); err == nil || !strings.Contains(err.Error(), "step") {
-		t.Errorf("unknown backend error should list registered names, got %v", err)
+	for _, name := range []string{"pool", "nope"} {
+		if _, err := RunSpec(g, spec, name, Config{}); err == nil || !strings.Contains(err.Error(), "step") {
+			t.Errorf("RunSpec(%q) error should list the valid names, got %v", name, err)
+		}
 	}
 }
 
-// TestSelectUnknownListsBackends pins the satellite fix: the error for an
-// unknown backend name must name every registered backend.
+// TestSelectUnknownListsBackends pins the error for an unknown backend
+// name: it must name every valid choice, for blocking-only Specs too.
 func TestSelectUnknownListsBackends(t *testing.T) {
-	_, err := Select("warp", 4)
-	if err == nil {
-		t.Fatal("Select(warp) should fail")
+	if got, want := Names(), []string{"goroutines", "step"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Names() = %v, want %v", got, want)
 	}
-	for _, want := range []string{"goroutines", "pool", "step", "auto"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %q", err, want)
+	g := graph.Ring(8)
+	for _, spec := range []Spec{dual("flood"), {Program: testPrograms()["flood"]}} {
+		_, err := RunSpec(g, spec, "warp", Config{})
+		if err == nil {
+			t.Fatal("RunSpec(warp) should fail")
+		}
+		for _, want := range []string{"goroutines", "step", "auto"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not mention %q", err, want)
+			}
 		}
 	}
 }

@@ -9,7 +9,8 @@ import (
 
 // TestCompareBenches checks the regression gate's arithmetic: matched
 // points diff wall and allocs against the threshold, unmatched points are
-// reported but never counted as regressions.
+// reported but never counted as regressions. The baseline's "pool" row is
+// such a point: the backend is retired, so a fresh run never has it.
 func TestCompareBenches(t *testing.T) {
 	pt := func(backend string, n int, wall float64, allocs uint64) BackendPoint {
 		return BackendPoint{
@@ -23,9 +24,9 @@ func TestCompareBenches(t *testing.T) {
 		pt("goroutines", 1024, 10, 1000),
 	}}
 	fresh := &BackendBench{Points: []BackendPoint{
-		pt("pool", 1024, 11, 1000),   // +10% wall: within threshold
-		pt("step", 1024, 16, 1000),   // +60% wall: regression
-		pt("step", 4096, 100, 99999), // unmatched size
+		pt("goroutines", 1024, 11, 1000), // +10% wall: within threshold
+		pt("step", 1024, 16, 1000),       // +60% wall: regression
+		pt("step", 4096, 100, 99999),     // unmatched size
 	}}
 	rep := CompareBenches(old, fresh, 25)
 	if rep.Regressions != 1 {
@@ -39,13 +40,19 @@ func TestCompareBenches(t *testing.T) {
 			t.Errorf("%s: Regressed = %v, want %v", d.Backend, d.Regressed, wantReg)
 		}
 	}
-	// One point only in the new run, one only in the baseline.
+	// One point only in the new run, and the retired pool row only in
+	// the baseline.
 	if len(rep.Unmatched) != 2 {
 		t.Fatalf("Unmatched = %v, want 2 entries", rep.Unmatched)
 	}
+	for _, u := range rep.Unmatched {
+		if strings.Contains(u, "pool") && !strings.Contains(u, "only in baseline") {
+			t.Errorf("pool row %q should be baseline-only", u)
+		}
+	}
 
 	// Allocation growth alone must trip the gate too.
-	fresh2 := &BackendBench{Points: []BackendPoint{pt("pool", 1024, 10, 2000)}}
+	fresh2 := &BackendBench{Points: []BackendPoint{pt("goroutines", 1024, 10, 2000)}}
 	if rep := CompareBenches(old, fresh2, 25); rep.Regressions != 1 {
 		t.Errorf("alloc regression not detected: %d", rep.Regressions)
 	}
@@ -76,7 +83,7 @@ func TestLoadBenchColumnTolerance(t *testing.T) {
 		"numCPU": 1,
 		"retiredField": {"ignored": true},
 		"points": [
-			{"backend": "pool", "algorithm": "partition", "family": "ring", "n": 1024, "wallMs": 10},
+			{"backend": "goroutines", "algorithm": "partition", "family": "ring", "n": 1024, "wallMs": 10},
 			{"backend": "step", "algorithm": "partition", "family": "ring", "n": 1024, "wallMs": 10}
 		]
 	}`), 0o644); err != nil {
@@ -99,7 +106,7 @@ func TestLoadBenchColumnTolerance(t *testing.T) {
 	// matrix is not part of the point-matching at all.
 	fresh := &BackendBench{
 		Points: []BackendPoint{
-			{Backend: "pool", Algorithm: "partition", Family: "ring", N: 1024, WallMs: 10, Allocs: 4096, PeakBytes: 1 << 20},
+			{Backend: "goroutines", Algorithm: "partition", Family: "ring", N: 1024, WallMs: 10, Allocs: 4096, PeakBytes: 1 << 20},
 			{Backend: "step", Algorithm: "partition", Family: "ring", N: 1024, WallMs: 11, Allocs: 4096, PeakBytes: 1 << 20},
 		},
 		Faults: []FaultPoint{{Algorithm: "partition", N: 1024, Drop: 0.25, Converged: true}},

@@ -51,10 +51,7 @@ func TestRelabelEquivalenceRegistry(t *testing.T) {
 		t.Run(alg.Name, func(t *testing.T) {
 			// GOMAXPROCS is process-global: the P axis runs sequentially.
 			p := Params{Arboricity: a, Seed: 11, MaxRounds: 1 << 21}.withDefaults(g)
-			spec := engine.Spec{Program: alg.program(p)}
-			if alg.step != nil {
-				spec.Step = alg.step(p)
-			}
+			spec := alg.spec(p)
 			for _, fault := range []string{"faultless", "dropcrash"} {
 				opts := engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds}
 				if fault == "dropcrash" {

@@ -36,11 +36,7 @@ func (alg Algorithm) runScenario(g *Graph, p Params) (Report, error) {
 	if err != nil {
 		return Report{}, fmt.Errorf("vavg: %s on %s: %w", alg.Name, g.Name, err)
 	}
-	eng := engine.Spec{Program: alg.program(p)}
-	if alg.step != nil {
-		eng.Step = alg.step(p)
-	}
-	res, err := engine.RunSpec(rg, eng, engine.Options{
+	res, err := engine.RunSpec(rg, alg.spec(p), engine.Options{
 		Seed: p.Seed, MaxRounds: p.MaxRounds, Backend: p.Backend, Adv: adv, StepShards: p.StepShards,
 	})
 	converged := true

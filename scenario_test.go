@@ -34,10 +34,7 @@ func TestScenarioZeroFaultIdentity(t *testing.T) {
 		t.Run(alg.Name, func(t *testing.T) {
 			t.Parallel()
 			p := Params{Arboricity: arb, Seed: 11}.withDefaults(g)
-			spec := engine.Spec{Program: alg.program(p)}
-			if alg.step != nil {
-				spec.Step = alg.step(p)
-			}
+			spec := alg.spec(p)
 			// An explicitly zero adversary forces the adversary branches of
 			// flush/collect while deciding nothing — it must not perturb a
 			// single byte of the Result.
@@ -123,10 +120,7 @@ func TestScenarioEquivalenceAcrossBackends(t *testing.T) {
 			t.Run(alg.Name, func(t *testing.T) {
 				t.Parallel()
 				p := Params{Arboricity: 3, Seed: 11, MaxRounds: 4096}.withDefaults(g)
-				spec := engine.Spec{Program: alg.program(p)}
-				if alg.step != nil {
-					spec.Step = alg.step(p)
-				}
+				spec := alg.spec(p)
 				adv, err := sc.Clone().Compile(g.N(), p.Seed)
 				if err != nil {
 					t.Fatal(err)

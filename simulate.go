@@ -31,10 +31,24 @@ type (
 
 // Simulate runs a custom vertex Program on g in the synchronous
 // message-passing model and returns the raw result; Report-style
-// accounting can be derived with NewReport.
+// accounting can be derived with NewReport. A Program has no step form,
+// so it runs on the goroutines runner. Params.Scenario and Params.Relabel
+// are honored only by Algorithm.Run; setting either here is an error.
 func Simulate(g *Graph, prog Program, p Params) (*SimResult, error) {
-	p = p.withDefaults(g)
-	return engine.Run(g, prog, engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds, Backend: p.Backend, StepShards: p.StepShards})
+	return simulate("Simulate", g, engine.Spec{Program: prog}, p.withDefaults(g))
+}
+
+// simulate runs spec on g for the direct entry points, which have no
+// fault-injection or relabeling path: rather than silently run fault-free
+// on the stored layout, they reject a non-default Scenario or Relabel.
+func simulate(fn string, g *Graph, spec engine.Spec, p Params) (*SimResult, error) {
+	if p.Scenario != nil && !p.Scenario.IsZero() {
+		return nil, fmt.Errorf("vavg: %s does not support Params.Scenario (use Algorithm.Run)", fn)
+	}
+	if !relabelOff(p.Relabel) {
+		return nil, fmt.Errorf("vavg: %s does not support Params.Relabel %q (use Algorithm.Run)", fn, p.Relabel)
+	}
+	return engine.RunSpec(g, spec, engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds, Backend: p.Backend, StepShards: p.StepShards})
 }
 
 // NewReport derives the paper's measurements from a raw simulation result.
@@ -48,10 +62,15 @@ func NewReport(name string, g *Graph, p Params, res *SimResult) Report {
 // ends with a color from list(v), which must contain at least deg(v)+1
 // colors, adjacent vertices differ, and the vertex-averaged complexity is
 // a function of the arboricity rather than of Delta. The outputs are
-// validated before returning.
+// validated before returning. It runs the framework's step form unless
+// Params.Backend forces "goroutines"; like Simulate, it rejects
+// Params.Scenario and Params.Relabel.
 func ListColoring(g *Graph, p Params, list func(v int) []int) (Report, []int, error) {
 	p = p.withDefaults(g)
-	res, err := Simulate(g, extend.ListColoring(p.Arboricity, p.Eps, list), p)
+	res, err := simulate("ListColoring", g, engine.Spec{
+		Program: extend.ListColoring(p.Arboricity, p.Eps, list),
+		Step:    extend.ListColoringStep(p.Arboricity, p.Eps, list),
+	}, p)
 	if err != nil {
 		return Report{}, nil, err
 	}

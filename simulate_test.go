@@ -1,6 +1,9 @@
 package vavg
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestSimulateCustomProgram(t *testing.T) {
 	// A user-written vertex program: 2-round neighborhood max.
@@ -46,6 +49,46 @@ func TestListColoringPublicAPI(t *testing.T) {
 	for _, c := range cols {
 		if c%2 != 0 || c < 100 {
 			t.Fatalf("color %d not from the supplied lists", c)
+		}
+	}
+}
+
+// TestDirectRunsRejectAlgorithmOnlyParams pins that Simulate and
+// ListColoring refuse Params.Scenario and Params.Relabel instead of
+// silently returning the faultless, stored-layout run.
+func TestDirectRunsRejectAlgorithmOnlyParams(t *testing.T) {
+	g := TriangulatedGrid(6, 6)
+	sc, err := ParseScenario("drop=0.9,crashfrac=0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := func(api *API) any { return api.ID() }
+	list := func(v int) []int {
+		out := make([]int, g.Degree(v)+1)
+		for i := range out {
+			out[i] = i
+		}
+		return out
+	}
+	for _, c := range []struct {
+		field string
+		p     Params
+	}{
+		{"Scenario", Params{Scenario: sc}},
+		{"Relabel", Params{Relabel: "bogus"}},
+		{"Relabel", Params{Relabel: "rcm"}},
+	} {
+		if _, err := Simulate(g, prog, c.p); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("Simulate with %s set: err = %v, want an error naming the field", c.field, err)
+		}
+		if _, _, err := ListColoring(g, c.p, list); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("ListColoring with %s set: err = %v, want an error naming the field", c.field, err)
+		}
+	}
+	// The defaults still run.
+	for _, p := range []Params{{Scenario: &Scenario{}}, {Relabel: "off"}} {
+		if _, err := Simulate(g, prog, p); err != nil {
+			t.Errorf("Simulate with default-valued %+v: %v", p, err)
 		}
 	}
 }

@@ -88,18 +88,18 @@ type Params struct {
 	MaxRounds int
 	// SkipValidation disables output checking (benchmarks).
 	SkipValidation bool
-	// Backend selects the engine execution backend: "goroutines", "pool",
-	// "step", or ""/"auto" to pick automatically (the goroutine-free step
-	// backend whenever the algorithm has a step form, otherwise by graph
-	// size). Backends are execution strategies only — equal seeds yield
-	// identical results on all of them; see engine.Backends for the
-	// registered names.
+	// Backend selects the engine execution backend: "goroutines" forces
+	// the blocking form (one goroutine per vertex), while "step" and
+	// ""/"auto" run the goroutine-free step form whenever the algorithm
+	// has one and the goroutines runner otherwise. Backends are execution
+	// strategies only — equal seeds yield identical results on both; see
+	// Backends for the valid names.
 	Backend string
 	// StepShards fixes the step backend's shard count regardless of
 	// GOMAXPROCS (0 means one shard per core at run start). Results are
 	// invariant in both the shard and the worker count; pinning the value
 	// reproduces the same shard layout on any machine. Ignored by the
-	// other backends.
+	// goroutines runner.
 	StepShards int
 	// Relabel selects the engine's vertex-relabeling layout pass: "rcm"
 	// runs the engine on a reverse Cuthill–McKee view of the graph for
@@ -124,8 +124,8 @@ type Params struct {
 	Scenario *scenario.Spec
 }
 
-// Backends lists the registered engine execution backends, in the order
-// they can be named in Params.Backend.
+// Backends lists the engine execution backends Params.Backend can name
+// besides ""/"auto".
 func Backends() []string { return engine.Backends() }
 
 func (p Params) withDefaults(g *Graph) Params {
@@ -181,14 +181,23 @@ type Algorithm struct {
 	program func(p Params) engine.Program
 	// step builds the per-round state-machine form of the same program,
 	// or is nil for algorithms not yet migrated. When present, runs
-	// prefer the goroutine-free step backend; the two forms are
+	// use the goroutine-free step driver; the two forms are
 	// byte-identical by construction (the cross-backend equivalence suite
 	// enforces it).
 	step func(p Params) engine.StepProgram
 }
 
+// spec bundles the algorithm's forms for the engine.
+func (alg Algorithm) spec(p Params) engine.Spec {
+	s := engine.Spec{Program: alg.program(p)}
+	if alg.step != nil {
+		s.Step = alg.step(p)
+	}
+	return s
+}
+
 // HasStep reports whether the algorithm has a step (state-machine) form
-// and therefore runs goroutine-free on the step backend.
+// and therefore runs goroutine-free on the step driver.
 func (alg Algorithm) HasStep() bool { return alg.step != nil }
 
 // Run executes the algorithm on g, validates the output (unless
@@ -202,13 +211,9 @@ func (alg Algorithm) Run(g *Graph, p Params) (Report, error) {
 	if err != nil {
 		return Report{}, fmt.Errorf("vavg: %s on %s: %w", alg.Name, g.Name, err)
 	}
-	spec := engine.Spec{Program: alg.program(p)}
-	if alg.step != nil {
-		spec.Step = alg.step(p)
-	}
 	// The engine runs on the (possibly relabeled) view; the audit and the
 	// report below keep using g — Results are unmapped to original IDs.
-	res, err := engine.RunSpec(rg, spec, engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds, Backend: p.Backend, StepShards: p.StepShards})
+	res, err := engine.RunSpec(rg, alg.spec(p), engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds, Backend: p.Backend, StepShards: p.StepShards})
 	if err != nil {
 		return Report{}, fmt.Errorf("vavg: %s on %s: %w", alg.Name, g.Name, err)
 	}
