@@ -2,7 +2,6 @@ package arbdefect
 
 import (
 	"math"
-	"sort"
 
 	"vavg/internal/coloring"
 	"vavg/internal/engine"
@@ -46,7 +45,6 @@ func startStage(api *engine.API, tr *hpartition.Tracker, prm Params, lo, hi int3
 	var setColor int
 	nbrSet := map[int]int{}
 	var parents []int
-	stageMember := map[int]bool{}
 	kcl := prm.classK()
 	numLevels := prm.levels(A)
 	segLen := int(hi - lo)
@@ -77,28 +75,8 @@ func startStage(api *engine.API, tr *hpartition.Tracker, prm Params, lo, hi int3
 	// Leaf: iterated Linial among the class, along the inherited
 	// orientation, starting at the globally agreed round waveEnd.
 	leaf := func(api *engine.API) engine.Step {
-		ordered := make([]int, 0, len(stageMember))
-		for kk := range stageMember {
-			ordered = append(ordered, kk)
-		}
-		sort.Ints(ordered)
-		var leafMembers []int
-		for _, kk := range ordered {
-			same := true
-			for l := 0; l < numLevels; l++ {
-				if len(paths[kk]) <= l || paths[kk][l]*int64(kcl)+int64(choices[kk][l]) !=
-					pathPrefix(path, kcl, numLevels, l+1) {
-					same = false
-					break
-				}
-			}
-			if same {
-				leafMembers = append(leafMembers, kk)
-			}
-		}
-		leafParents := parents
 		P := coloring.LinialFinalPalette(n, prm.C)
-		return coloring.StartIteratedLinial(api, leafMembers, leafParents, prm.C, sink, func(c int) engine.Step {
+		return coloring.StartIteratedLinial(api, parents, prm.C, sink, func(c int) engine.Step {
 			return done(base + int(path)*P + c)
 		})
 	}
@@ -174,11 +152,6 @@ func startStage(api *engine.API, tr *hpartition.Tracker, prm Params, lo, hi int3
 			}
 			if h > i || (h == i && nbrSet[k] > setColor) {
 				parents = append(parents, k)
-			}
-		}
-		for k, h := range tr.NbrH {
-			if h > lo && h <= hi {
-				stageMember[k] = true
 			}
 		}
 		waveEnd = api.Round() + waveBudget

@@ -53,12 +53,7 @@ func IteratedArbLinialWCStep(a int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
 		return func(api *engine.API, _ []engine.Msg) engine.Step {
 			return startWCDecomp(api, a, eps, func(d *forest.Decomp) engine.Step {
-				var members, parents []int
-				for k := 0; k < api.Degree(); k++ {
-					members = append(members, k)
-				}
-				parents = append(parents, d.OutIdx...)
-				return coloring.StartIteratedLinial(api, members, parents, d.Tr.A,
+				return coloring.StartIteratedLinial(api, d.OutIdx, d.Tr.A,
 					func(ms []engine.Msg) { d.Tr.Absorb(api, ms) },
 					func(c int) engine.Step { return engine.Done(c) })
 			})
@@ -116,13 +111,8 @@ func MISByColoringWCStep(a int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
 		return func(api *engine.API, _ []engine.Msg) engine.Step {
 			return startWCDecomp(api, a, eps, func(d *forest.Decomp) engine.Step {
-				var members, parents []int
-				for k := 0; k < api.Degree(); k++ {
-					members = append(members, k)
-				}
-				parents = append(parents, d.OutIdx...)
 				sink := func(ms []engine.Msg) { d.Tr.Absorb(api, ms) }
-				return coloring.StartIteratedLinial(api, members, parents, d.Tr.A, sink,
+				return coloring.StartIteratedLinial(api, d.OutIdx, d.Tr.A, sink,
 					func(c int) engine.Step {
 						palette := coloring.LinialFinalPalette(api.N(), d.Tr.A)
 						inMIS, dominated := false, false

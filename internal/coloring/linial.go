@@ -56,8 +56,7 @@ func Rho(n int) int {
 	return k
 }
 
-// isPrime reports primality by trial division; palettes keep q small
-// (O(A log n)), so this is never a bottleneck.
+// isPrime reports primality by trial division.
 func isPrime(q int) bool {
 	if q < 2 {
 		return false
@@ -68,6 +67,33 @@ func isPrime(q int) bool {
 		}
 	}
 	return true
+}
+
+// primeTableLimit bounds the prime table. Field sizes are O(A log n), far
+// below it for the palettes the algorithms use; LinialParams falls back to
+// trial division past it.
+const primeTableLimit = 1 << 15
+
+// primes lists every prime below primeTableLimit in ascending order. It is
+// built once at package init and only read afterwards: LinialParams runs
+// for every vertex, and trial-dividing every candidate q there showed up
+// in CPU profiles.
+var primes = sievePrimes(primeTableLimit)
+
+// sievePrimes returns the primes below limit (sieve of Eratosthenes).
+func sievePrimes(limit int) []int {
+	composite := make([]bool, limit)
+	var ps []int
+	for q := 2; q < limit; q++ {
+		if composite[q] {
+			continue
+		}
+		ps = append(ps, q)
+		for m := q * q; m < limit; m += q {
+			composite[m] = true
+		}
+	}
+	return ps
 }
 
 // polyDegree returns the smallest d >= 1 with q^d >= p.
@@ -83,20 +109,25 @@ func polyDegree(p, q int) int {
 // LinialParams returns the prime field size q and polynomial degree d used
 // to reduce a proper p-coloring to a q^2-coloring on an orientation with
 // out-degree at most A: the smallest prime q with q^d >= p and q > A*d.
-// Distinct colors map to distinct degree-<d polynomials over F_q; a
-// polynomial pair agrees on at most d-1... at most d points, so the A
-// parents of a vertex rule out at most A*d < q evaluation points, leaving
-// a free point (x, f(x)) that becomes the new color x*q + f(x).
+// Distinct colors map to distinct polynomials of degree < d over F_q, and
+// two distinct polynomials of degree < d agree on at most d-1 points. The
+// A parents of a vertex therefore rule out at most A*(d-1) evaluation
+// points; the code uses the simpler bound q > A*d, which leaves a free
+// point (x, f(x)) that becomes the new color x*q + f(x).
 func LinialParams(p, A int) (q, d int) {
 	if p < 2 {
 		return 2, 1
 	}
-	for q = 2; ; q++ {
+	for _, q := range primes {
+		if d := polyDegree(p, q); q > A*d {
+			return q, d
+		}
+	}
+	for q = primeTableLimit; ; q++ {
 		if !isPrime(q) {
 			continue
 		}
-		d = polyDegree(p, q)
-		if q > A*d {
+		if d = polyDegree(p, q); q > A*d {
 			return q, d
 		}
 	}
@@ -143,8 +174,9 @@ func LinialFinalPalette(p0, A int) int {
 // evalPoly evaluates the polynomial whose coefficients are the base-q
 // digits of c (degree < d) at point x over F_q.
 func evalPoly(c, q, d, x int) int {
-	// Horner on digits most-significant first.
-	digits := make([]int, d)
+	// Horner on digits most-significant first. q >= 2, so an int color has
+	// at most 64 digits and the digit buffer lives on the stack.
+	var digits [64]int
 	for i := 0; i < d; i++ {
 		digits[i] = c % q
 		c /= q

@@ -70,6 +70,26 @@ func TestLinialParamsGuarantee(t *testing.T) {
 	}
 }
 
+// TestLinialParamsMinimal pins the table walk to the definition: q is the
+// smallest prime with q > A*polyDegree(p, q), found here by trial division
+// over every candidate. A = 20000 needs a field past the prime table.
+func TestLinialParamsMinimal(t *testing.T) {
+	for _, p := range []int{2, 10, 1000, 1 << 18, 1 << 40} {
+		for _, A := range []int{1, 3, 12, 300, 20000} {
+			want := 2
+			for !isPrime(want) || want <= A*polyDegree(p, want) {
+				want++
+			}
+			if q, d := LinialParams(p, A); q != want || d != polyDegree(p, want) {
+				t.Errorf("LinialParams(%d, %d) = (%d, %d), want (%d, %d)", p, A, q, d, want, polyDegree(p, want))
+			}
+		}
+	}
+	if primes[len(primes)-1] >= primeTableLimit || !isPrime(primes[len(primes)-1]) {
+		t.Errorf("prime table ends at %d", primes[len(primes)-1])
+	}
+}
+
 func TestLinialScheduleConverges(t *testing.T) {
 	for _, A := range []int{2, 4, 12} {
 		sched := LinialSchedule(1<<20, A)

@@ -14,12 +14,10 @@ import (
 // in, so compositions keep the same round structure and the two forms are
 // byte-identical on every backend.
 
-// StartIteratedLinial is the step form of IteratedLinial. members is
-// accepted for signature parity with the blocking form (it is implied by
-// parentIdx there too).
-func StartIteratedLinial(api *engine.API, members, parentIdx []int, A int,
+// StartIteratedLinial is the step form of IteratedLinial. It takes no
+// members list: the parents are all the reduction reads.
+func StartIteratedLinial(api *engine.API, parentIdx []int, A int,
 	sink Sink, done func(int) engine.Step) engine.Step {
-	_ = members
 	sched := LinialSchedule(api.N(), A)
 	ids := api.NeighborIDs()
 	parentColors := make([]int, len(parentIdx))
@@ -140,7 +138,7 @@ func StartDeltaPlus1OnSet(api *engine.API, members []int, A int,
 			parents = append(parents, k)
 		}
 	}
-	return StartIteratedLinial(api, members, parents, A, sink, func(c int) engine.Step {
+	return StartIteratedLinial(api, parents, A, sink, func(c int) engine.Step {
 		return StartKWReduce(api, members, c, LinialFinalPalette(api.N(), A), A, sink, done)
 	})
 }
@@ -243,21 +241,24 @@ func StartCVForests(api *engine.API, numLabels int, parentIdx []int,
 	return engine.Continue(shiftA)
 }
 
-// ArbLinialO1Step is the step form of ArbLinialO1.
+// ArbLinialO1Step is the step form of ArbLinialO1. Every vertex shares
+// one entry StepFn; its per-vertex state is created in the entry turn.
 func ArbLinialO1Step(a int, eps float64) engine.StepProgram {
-	return func(api *engine.API) engine.StepFn {
-		return func(api *engine.API, _ []engine.Msg) engine.Step {
-			d := forest.NewDecomp(api, a, eps)
-			return d.Start(api, func() engine.Step {
-				ids := api.NeighborIDs()
-				parents := make([]int, len(d.OutIdx))
-				for j, k := range d.OutIdx {
-					parents[j] = int(ids[k])
-				}
-				return engine.Done(LinialStep(api.N(), d.Tr.A, api.ID(), parents))
-			})
-		}
+	first := func(api *engine.API, _ []engine.Msg) engine.Step {
+		d := forest.NewDecomp(api, a, eps)
+		return d.Start(api, func() engine.Step {
+			ids := api.NeighborIDs()
+			// Out-degree is at most A; small orientations keep the parent
+			// colors on the stack.
+			var buf [16]int
+			parents := buf[:0]
+			for _, k := range d.OutIdx {
+				parents = append(parents, int(ids[k]))
+			}
+			return engine.Done(LinialStep(api.N(), d.Tr.A, api.ID(), parents))
+		})
 	}
+	return func(*engine.API) engine.StepFn { return first }
 }
 
 // TwoPhaseA2Step is the step form of TwoPhaseA2.
@@ -276,8 +277,8 @@ func TwoPhaseA2Step(a int, eps float64) engine.StepProgram {
 
 		settle := func(api *engine.API, inbox []engine.Msg) engine.Step {
 			tr.Absorb(api, inbox)
-			members, parents := SegmentParents(api, tr, segLo, segHi)
-			return StartIteratedLinial(api, members, parents, A, sink, func(c int) engine.Step {
+			_, parents := SegmentParents(api, tr, segLo, segHi)
+			return StartIteratedLinial(api, parents, A, sink, func(c int) engine.Step {
 				return engine.Done(c + (phase-1)*P)
 			})
 		}

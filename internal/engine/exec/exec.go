@@ -269,6 +269,12 @@ type runScratch struct {
 	// them untouched.
 	apis    []API
 	stepFns []StepFn
+	// inboxes is the step backend's flat inbox slab (vertex v's window is
+	// [Off[v], Off[v+1])). lanes are its cross-shard staging lanes, kept
+	// with their grown buffers so a recycled run appends without growing
+	// them.
+	inboxes []Msg
+	lanes   []lane
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}

@@ -211,6 +211,37 @@ type stepRuntime struct {
 	// restarts walks the adversary's restart schedule (empty on fault-free
 	// runs); the coordinator consumes it between rounds.
 	restarts eventCursor
+	// inboxes is the flat inbox slab, nil until the coordinator builds it
+	// before the first executed round >= 2: round 1 delivers nothing, so a
+	// 1-round run never pays for it. Vertex v's inbox is the capped window
+	// [Off[v], Off[v+1]) — one round delivers at most one message per
+	// slot — and only a sleeper accumulating more than its degree over a
+	// window outgrows it, spilling to its own heap buffer through append.
+	inboxes []Msg
+}
+
+// inboxWindow returns v's empty slab-backed inbox, or nil before the slab
+// exists.
+func (rt *stepRuntime) inboxWindow(v int32) []Msg {
+	if rt.inboxes == nil {
+		return nil
+	}
+	off := rt.c.g.Off
+	return rt.inboxes[off[v]:off[v]:off[v+1]]
+}
+
+// buildInboxes creates the inbox slab and hands every vertex its window.
+// Called by the coordinator between rounds; no vertex holds messages yet.
+func (rt *stepRuntime) buildInboxes(apis []API) {
+	s := rt.c.scratch
+	s.inboxes = reslice(s.inboxes, len(rt.c.g.Adj))
+	rt.inboxes = s.inboxes
+	if rt.inboxes == nil {
+		rt.inboxes = []Msg{} // an edgeless graph's slab is empty, but built
+	}
+	for v := range apis {
+		apis[v].inbox = rt.inboxWindow(int32(v))
+	}
 }
 
 func (rt *stepRuntime) shardOf(v int32) *stepShard { return rt.shards[v/rt.shardSize] }
@@ -440,6 +471,7 @@ func (s *stepShard) runRound(rt *stepRuntime, apis []API, w int32) {
 				v:     v,
 				out:   c.scratch.outbox[plo:phi:phi],
 				dirty: c.scratch.dirty[plo:plo:phi],
+				inbox: rt.inboxWindow(v),
 				round: w - 1,
 			}
 			if c.gens != nil {
@@ -638,7 +670,7 @@ func runStep(g *graph.Graph, prog StepProgram, cfg Config) (*Result, error) {
 	}
 	nshards = len(rt.shards)
 	if nshards > 1 {
-		rt.lanes = make([]lane, nshards*nshards)
+		rt.lanes = c.scratch.lanesFor(nshards * nshards)
 	}
 	if c.adv != nil {
 		rt.restarts = eventCursor{events: c.adv.restarts}
@@ -745,6 +777,9 @@ func runStep(g *graph.Graph, prog StepProgram, cfg Config) (*Result, error) {
 		round++
 		rt.round = int32(round)
 		c.swap()
+		if rt.inboxes == nil {
+			rt.buildInboxes(apis)
+		}
 		// Reboot vertices whose restart round is the new round: fns was
 		// cleared at crash time, so their next turn boots a fresh
 		// incarnation. They join the active order for this round and count
@@ -778,6 +813,17 @@ func runStep(g *graph.Graph, prog StepProgram, cfg Config) (*Result, error) {
 		res.Shards = nshards
 	}
 	return res, err
+}
+
+// lanesFor returns k staging lanes, reusing the recycled lanes and their
+// grown buffers. They are empty: every round ends with a merge that drains
+// and zeroes every lane.
+func (s *runScratch) lanesFor(k int) []lane {
+	if cap(s.lanes) < k {
+		s.lanes = make([]lane, k)
+	}
+	s.lanes = s.lanes[:k]
+	return s.lanes
 }
 
 // heapPush / heapPop maintain a binary min-heap of idleEntry by round.

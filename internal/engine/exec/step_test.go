@@ -319,6 +319,106 @@ func TestStepIdleMessageWake(t *testing.T) {
 	}
 }
 
+// TestStepInboxSlab pins the slab-backed inbox at its edges. Every vertex
+// broadcasts each round except the sleeper, which parks for a k-round
+// window: its accumulated inbox (k x degree messages) outgrows its window
+// and must spill to the heap without writing into its successor's window,
+// which is checked every round along with everyone else's. A vertex
+// crashed and restarted after the slab exists must reboot into its own
+// window. White-box: a vertex that has not spilled must always read its
+// messages from slab[Off[v]:Off[v+1]].
+func TestStepInboxSlab(t *testing.T) {
+	const (
+		n        = 16
+		sleeper  = 3
+		k        = 6
+		restart  = 10
+		lastTurn = 14 // every vertex ends in round lastTurn+1
+	)
+	g := graph.Ring(n)
+	adv := &Adversary{CrashAt: make([]int32, n), RestartAt: make([]int32, n)}
+	adv.CrashAt[restart], adv.RestartAt[restart] = 3, 5
+	if err := adv.Normalize(n); err != nil {
+		t.Fatal(err)
+	}
+	payload := func(round int, from int32) int64 { return int64(round)*1000 + int64(from) }
+	prog := func(api *API) StepFn {
+		spilled := false
+		var fail string
+		// check validates one turn's inbox: ascending senders, each
+		// carrying the round it was sent in, read from the vertex's own
+		// window until it spills.
+		check := func(api *API, inbox []Msg, sentFrom int) {
+			if len(inbox) == 0 || fail != "" {
+				return
+			}
+			if !spilled {
+				slab := api.rt.(*stepRuntime).inboxes
+				lo, hi := g.Off[api.v], g.Off[api.v+1]
+				if slab == nil || &inbox[0] != &slab[lo] || cap(inbox) != int(hi-lo) {
+					fail = fmt.Sprintf("round %d: inbox not in its slab window", api.Round())
+					return
+				}
+			}
+			per := api.Degree()
+			if sentFrom < 0 {
+				per, sentFrom = len(inbox), api.Round()-1
+			}
+			for i, m := range inbox {
+				want := sentFrom + i/per
+				if x, ok := m.AsInt(); !ok || x != payload(want, m.From) {
+					fail = fmt.Sprintf("round %d: message %d = %+v, want payload of round %d", api.Round(), i, m, want)
+					return
+				}
+				if i%per > 0 && m.From <= inbox[i-1].From {
+					fail = fmt.Sprintf("round %d: senders out of order", api.Round())
+					return
+				}
+			}
+		}
+		var turn StepFn
+		turn = func(api *API, inbox []Msg) Step {
+			check(api, inbox, -1)
+			if fail != "" {
+				return Done(fail)
+			}
+			if api.Round() == lastTurn {
+				return Done("ok")
+			}
+			api.BroadcastInt(payload(api.Round(), int32(api.ID())))
+			return Continue(turn)
+		}
+		if api.ID() != sleeper {
+			return turn
+		}
+		return func(api *API, _ []Msg) Step {
+			api.BroadcastInt(payload(api.Round(), int32(api.ID())))
+			return Sleep(k, func(api *API, inbox []Msg) Step {
+				if len(inbox) != k*api.Degree() || cap(inbox) <= api.Degree() {
+					return Done(fmt.Sprintf("window collected %d messages (cap %d), want %d spilled", len(inbox), cap(inbox), k*api.Degree()))
+				}
+				spilled = true
+				check(api, inbox, 0)
+				return turn(api, nil)
+			})
+		}
+	}
+	for _, shards := range []int{1, 4} {
+		res, err := runStep(g, prog, Config{Seed: 1, Adv: adv, StepShards: shards})
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		for v, out := range res.Output {
+			if out != "ok" {
+				t.Errorf("shards=%d vertex %d: %v", shards, v, out)
+			}
+		}
+		if res.Restarts != 1 {
+			t.Errorf("shards=%d: %d restarts, want 1", shards, res.Restarts)
+		}
+	}
+}
+
 // TestStepFastForward checks that an all-sleep stretch is skipped without
 // distorting the accounting: ActivePerRound still pays every round, and
 // the Result equals the goroutines runner's, which grinds through each.

@@ -32,21 +32,26 @@ type Output struct {
 }
 
 // Decomp is the per-vertex composable state: a partition Tracker plus the
-// orientation and labels computed at settle time. Composed algorithms
-// embed it and call JoinAndSettle (or drive StepJoin/Settle themselves).
+// orientation computed at settle time. Composed algorithms embed it and
+// call JoinAndSettle (or drive StepJoin/Settle, or Start, themselves).
 type Decomp struct {
-	Tr *hpartition.Tracker
+	Tr hpartition.Tracker
 	// OutIdx lists neighbor indices of outgoing edges (the "parents" of
-	// this vertex under the orientation), ascending.
+	// this vertex under the orientation), ascending. The j-th outgoing
+	// edge carries forest label j+1.
 	OutIdx []int
-	// OutLabels[j] is the label of the j-th outgoing edge (j+1 by
-	// construction, kept explicit for clarity).
-	OutLabels []int32
+
+	// Step-form machine state (see Start): the turn kind due next, the
+	// machine's single StepFn, and the continuation run at settle time.
+	phase uint8
+	next  engine.StepFn
+	done  func() engine.Step
 }
 
-// NewDecomp initializes decomposition state.
+// NewDecomp initializes decomposition state. The Tracker is part of the
+// Decomp, so both come from one allocation.
 func NewDecomp(api *engine.API, a int, eps float64) *Decomp {
-	return &Decomp{Tr: hpartition.NewTracker(api, a, eps)}
+	return &Decomp{Tr: hpartition.MakeTracker(api, a, eps)}
 }
 
 // StepJoin runs one partition round; see hpartition.Tracker.Step.
@@ -65,34 +70,49 @@ func (d *Decomp) Settle(api *engine.API) []engine.Msg {
 	return msgs
 }
 
-// computeOrientation classifies each incident edge. Outgoing edges point
-// to neighbors in later H-sets (or still active, hence joining later), or
-// to same-set neighbors with higher ID.
+// computeOrientation collects the outgoing edges into an exactly sized
+// OutIdx (nil when there are none).
 func (d *Decomp) computeOrientation(api *engine.API) {
-	my := d.Tr.HIndex
 	ids := api.NeighborIDs()
-	for k, h := range d.Tr.NbrH {
-		out := false
-		switch {
-		case h <= 0: // still active (joins later) or terminated foreign
-			out = h == 0
-		case h > my:
-			out = true
-		case h == my:
-			out = int(ids[k]) > api.ID()
-		}
-		if out {
-			d.OutIdx = append(d.OutIdx, k)
-			d.OutLabels = append(d.OutLabels, int32(len(d.OutIdx)))
+	me := int32(api.ID())
+	n := 0
+	for k := range d.Tr.NbrH {
+		if d.outgoing(ids, me, k) {
+			n++
 		}
 	}
+	if n == 0 {
+		return
+	}
+	d.OutIdx = make([]int, 0, n)
+	for k := range d.Tr.NbrH {
+		if d.outgoing(ids, me, k) {
+			d.OutIdx = append(d.OutIdx, k)
+		}
+	}
+}
+
+// outgoing classifies the k-th incident edge of vertex me. Outgoing edges
+// point to neighbors in later H-sets (or still active, hence joining
+// later), or to same-set neighbors with higher ID.
+func (d *Decomp) outgoing(ids []int32, me int32, k int) bool {
+	h := d.Tr.NbrH[k]
+	switch {
+	case h <= 0: // still active (joins later) or terminated foreign
+		return h == 0
+	case h > d.Tr.HIndex:
+		return true
+	case h == d.Tr.HIndex:
+		return ids[k] > me
+	}
+	return false
 }
 
 // Out reports whether the k-th incident edge is outgoing, and its label.
 func (d *Decomp) Out(k int) (label int32, ok bool) {
 	for j, idx := range d.OutIdx {
 		if idx == k {
-			return d.OutLabels[j], true
+			return int32(j + 1), true
 		}
 	}
 	return 0, false
@@ -126,7 +146,7 @@ func (d *Decomp) Output(api *engine.API) Output {
 	ids := api.NeighborIDs()
 	labels := make(map[int32]int32, len(d.OutIdx))
 	for j, k := range d.OutIdx {
-		labels[ids[k]] = d.OutLabels[j]
+		labels[ids[k]] = int32(j + 1)
 	}
 	return Output{H: d.Tr.HIndex, Labels: labels}
 }

@@ -6,33 +6,48 @@ import "vavg/internal/engine"
 // one round of the blocking form, so the two forms are byte-identical on
 // every backend.
 
+// Turn kinds of the Start machine.
+const (
+	phaseJoin    = uint8(iota) // absorb, then take another partition round
+	phaseSettle1               // the join round's tail absorb
+	phaseSettle2               // the settle round: orient, then done
+)
+
 // Start drives the decomposition as a step sub-machine, mirroring
 // JoinAndSettle: the entry turn takes the first partition round, every
 // following turn absorbs and takes another until the vertex joins, and the
 // two post-join rounds (the join round's tail absorb, then the settle
 // round) end with the orientation computed. done runs in the settle turn.
+// One StepFn walks the three kinds of turns through d.phase, so the
+// machine costs a single closure per vertex.
 func (d *Decomp) Start(api *engine.API, done func() engine.Step) engine.Step {
-	settle2 := func(api *engine.API, inbox []engine.Msg) engine.Step {
-		d.Tr.Absorb(api, inbox)
-		d.computeOrientation(api)
-		return done()
-	}
-	settle1 := func(api *engine.API, inbox []engine.Msg) engine.Step {
-		d.Tr.Absorb(api, inbox)
-		return engine.Continue(settle2)
-	}
-	var join engine.StepFn
-	join = func(api *engine.API, inbox []engine.Msg) engine.Step {
-		d.Tr.Absorb(api, inbox)
-		if d.Tr.Advance(api) {
-			return engine.Continue(settle1)
-		}
-		return engine.Continue(join)
-	}
+	d.done = done
+	d.next = d.turn
+	return d.join(api)
+}
+
+// join takes one partition round; a vertex that joins settles over its
+// next two turns.
+func (d *Decomp) join(api *engine.API) engine.Step {
 	if d.Tr.Advance(api) {
-		return engine.Continue(settle1)
+		d.phase = phaseSettle1
 	}
-	return engine.Continue(join)
+	return engine.Continue(d.next)
+}
+
+// turn is Start's StepFn.
+func (d *Decomp) turn(api *engine.API, inbox []engine.Msg) engine.Step {
+	d.Tr.Absorb(api, inbox)
+	switch d.phase {
+	case phaseJoin:
+		return d.join(api)
+	case phaseSettle1:
+		d.phase = phaseSettle2
+		return engine.Continue(d.next)
+	default:
+		d.computeOrientation(api)
+		return d.done()
+	}
 }
 
 // StartWC drives the worst-case schedule of the classical procedure
@@ -64,14 +79,14 @@ func (d *Decomp) StartWC(api *engine.API, ell int, done func() engine.Step) engi
 	return engine.Continue(join)
 }
 
-// StepProgram is the step form of Program.
+// StepProgram is the step form of Program. Every vertex shares one entry
+// StepFn; its per-vertex state is created in the entry turn.
 func StepProgram(a int, eps float64) engine.StepProgram {
-	return func(api *engine.API) engine.StepFn {
-		return func(api *engine.API, _ []engine.Msg) engine.Step {
-			d := NewDecomp(api, a, eps)
-			return d.Start(api, func() engine.Step {
-				return engine.Done(d.Output(api))
-			})
-		}
+	first := func(api *engine.API, _ []engine.Msg) engine.Step {
+		d := NewDecomp(api, a, eps)
+		return d.Start(api, func() engine.Step {
+			return engine.Done(d.Output(api))
+		})
 	}
+	return func(*engine.API) engine.StepFn { return first }
 }

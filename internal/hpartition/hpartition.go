@@ -83,7 +83,14 @@ type Tracker struct {
 
 // NewTracker initializes partition state for the calling vertex.
 func NewTracker(api *engine.API, a int, eps float64) *Tracker {
-	return &Tracker{
+	t := MakeTracker(api, a, eps)
+	return &t
+}
+
+// MakeTracker is NewTracker returning the Tracker by value, for per-vertex
+// state that embeds it and so allocates both as one object.
+func MakeTracker(api *engine.API, a int, eps float64) Tracker {
+	return Tracker{
 		A:         ParamA(a, eps),
 		NbrH:      make([]int32, api.Degree()),
 		activeDeg: api.Degree(),

@@ -70,8 +70,8 @@ func KA2Step(a, k int, eps float64) engine.StepProgram {
 		var lo, hi int32
 
 		color := func(api *engine.API) engine.Step {
-			members, parents := coloring.SegmentParents(api, tr, lo, hi)
-			return coloring.StartIteratedLinial(api, members, parents, plan.A, sink,
+			_, parents := coloring.SegmentParents(api, tr, lo, hi)
+			return coloring.StartIteratedLinial(api, parents, plan.A, sink,
 				func(c int) engine.Step { return engine.Done(c + seg*P) })
 		}
 		wake := func(api *engine.API, inbox []engine.Msg) engine.Step {
