@@ -31,10 +31,8 @@ package arbdefect
 
 import (
 	"math"
-	"sort"
 
 	"vavg/internal/coloring"
-	"vavg/internal/engine"
 	"vavg/internal/hpartition"
 )
 
@@ -70,171 +68,7 @@ type classMsg struct {
 	Choice int32
 }
 
-// stage colors one partition stage (the sets with H-index in (lo, hi]).
-// syncStart is the global round at which the per-set Delta+1 colorings
-// begin (all stage members are settled by then); base is the first color
-// of the stage's palette block. Returns the final color.
-func stage(api *engine.API, tr *hpartition.Tracker, prm Params, lo, hi int32, syncStart, base int) int {
-	n := api.N()
-	A := hpartition.ParamA(prm.A, prm.Eps)
-	sink := func(ms []engine.Msg) { tr.Absorb(api, ms) }
-	idleUntil(api, tr, syncStart)
-
-	// Per-set (A+1)-coloring, all sets of the stage in parallel.
-	i := tr.HIndex
-	var members []int
-	for k, h := range tr.NbrH {
-		if h == i {
-			members = append(members, k)
-		}
-	}
-	setColor := coloring.DeltaPlus1OnSet(api, members, A, sink)
-	nbrSet := map[int]int{}
-	coloring.BroadcastChosen(api, stageKind, int32(setColor))
-	for _, m := range api.Next() {
-		if c, ok := coloring.AsChosen(m, stageKind); ok {
-			nbrSet[api.NeighborIndex(m.From)] = int(c)
-			continue
-		}
-		sink([]engine.Msg{m})
-	}
-
-	// Orientation: toward the later H-set, or the higher set color.
-	var parents []int
-	for k, h := range tr.NbrH {
-		if h <= lo || h > hi {
-			continue
-		}
-		if h > i || (h == i && nbrSet[k] > setColor) {
-			parents = append(parents, k)
-		}
-	}
-	stageMember := map[int]bool{}
-	for k, h := range tr.NbrH {
-		if h > lo && h <= hi {
-			stageMember[k] = true
-		}
-	}
-
-	// Arbdefective levels along the orientation.
-	k := prm.classK()
-	numLevels := prm.levels(A)
-	segLen := int(hi - lo)
-	waveBudget := numLevels*((A+1)*segLen+3) + 2
-	waveEnd := api.Round() + waveBudget
-
-	path := int64(0)
-	// choices[k][l] is neighbor k's class choice at level l; paths[k][l]
-	// the path it announced alongside.
-	choices := make(map[int][]int32, len(stageMember))
-	paths := make(map[int][]int64, len(stageMember))
-	recv := func(msgs []engine.Msg) {
-		for _, m := range msgs {
-			cm, ok := m.Data.(classMsg)
-			if !ok {
-				sink([]engine.Msg{m})
-				continue
-			}
-			kk := api.NeighborIndex(m.From)
-			for int(cm.Level) >= len(choices[kk]) {
-				choices[kk] = append(choices[kk], -1)
-				paths[kk] = append(paths[kk], -1)
-			}
-			choices[kk][cm.Level] = cm.Choice
-			paths[kk][cm.Level] = cm.Path
-		}
-	}
-	for level := 0; level < numLevels; level++ {
-		// Wait until every parent still sharing our path has chosen.
-		for {
-			ready := true
-			for _, kk := range parents {
-				if len(choices[kk]) <= level || choices[kk][level] < 0 {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				break
-			}
-			recv(api.Next())
-		}
-		counts := make([]int, k)
-		for _, kk := range parents {
-			if paths[kk][level] == path {
-				counts[choices[kk][level]]++
-			}
-		}
-		best := 0
-		for c := 1; c < k; c++ {
-			if counts[c] < counts[best] {
-				best = c
-			}
-		}
-		api.Broadcast(classMsg{Level: int32(level), Path: path, Choice: int32(best)})
-		recv(api.Next())
-		// Keep only parents that end up in our class (same path+choice).
-		var keep []int
-		for _, kk := range parents {
-			if paths[kk][level] == path && choices[kk][level] == int32(best) {
-				keep = append(keep, kk)
-			}
-		}
-		// Our own announcement was just made; parents who chose later in
-		// wall time still count — they announced before us by wave order,
-		// so choices are complete here.
-		parents = keep
-		path = path*int64(k) + int64(best)
-	}
-
-	// Leaf: iterated Linial among the class, along the inherited
-	// orientation (out-degree < C), starting at a globally agreed round.
-	for api.Round() < waveEnd {
-		recv(api.Next())
-	}
-	// Sorted members: leafMembers parameterizes the iterated-Linial
-	// coloring below, so its order must not inherit map-iteration order.
-	ordered := make([]int, 0, len(stageMember))
-	for kk := range stageMember {
-		ordered = append(ordered, kk)
-	}
-	sort.Ints(ordered)
-	var leafMembers []int
-	for _, kk := range ordered {
-		same := true
-		for l := 0; l < numLevels; l++ {
-			if len(paths[kk]) <= l || paths[kk][l]*int64(k)+int64(choices[kk][l]) !=
-				pathPrefix(path, k, numLevels, l+1) {
-				same = false
-				break
-			}
-		}
-		if same {
-			leafMembers = append(leafMembers, kk)
-		}
-	}
-	leafParents := parents
-	c := coloring.IteratedLinial(api, leafMembers, leafParents, prm.C, sink)
-	P := coloring.LinialFinalPalette(n, prm.C)
-	return base + int(path)*P + c
-}
-
-// pathPrefix returns the first `depth` choices of path (which has
-// numLevels choices in base k), re-encoded as a path value.
-func pathPrefix(path int64, k, numLevels, depth int) int64 {
-	for i := depth; i < numLevels; i++ {
-		path /= int64(k)
-	}
-	return path
-}
-
 const stageKind = 5
-
-func idleUntil(api *engine.API, tr *hpartition.Tracker, round int) {
-	for api.Round() < round {
-		tr.Absorb(api, api.Next())
-	}
-}
 
 // StageBlock returns the palette block size of one stage: k^levels leaf
 // classes times the O(C^2) leaf palette.
@@ -248,53 +82,9 @@ func StageBlock(n int, prm Params) int {
 	return block
 }
 
-// Palette returns the total color budget of OnePlusEta: two stage blocks.
+// Palette returns the total color budget of OnePlusEtaStep: two stage
+// blocks.
 func Palette(n int, prm Params) int { return 2 * StageBlock(n, prm) }
-
-// OnePlusEta is Procedure One-Plus-Eta-Arb-Col (Theorem 7.21): an
-// O(a^{1+eta})-coloring with loglog-in-n vertex-averaged complexity.
-func OnePlusEta(a int, eps float64, C int) engine.Program {
-	return func(api *engine.API) any {
-		n := api.N()
-		prm := Params{A: a, Eps: eps, C: C}
-		A := hpartition.ParamA(a, eps)
-		tr := hpartition.NewTracker(api, a, eps)
-		r := int(math.Ceil(2 * math.Log2(math.Max(2, math.Log2(float64(max(n, 4)))))))
-		ell := hpartition.EllBound(n, eps)
-		if r > ell {
-			r = ell
-		}
-		dp1 := coloring.DeltaPlus1Rounds(n, A)
-		numLevels := prm.levels(A)
-		block := StageBlock(n, prm)
-
-		// Stage schedules (identical at every vertex).
-		hSync := r + 2
-		hEnd := hSync + dp1 + 1 + numLevels*((A+1)*r+3) + 2 +
-			coloring.IteratedLinialRounds(n, prm.C) + 2
-		rSync := maxInt(ell+2, hEnd)
-
-		for int32(api.Round()) < int32(r) && tr.HIndex == 0 {
-			tr.Step(api)
-		}
-		if tr.HIndex != 0 {
-			for api.Round() < r {
-				tr.Absorb(api, api.Next())
-			}
-			tr.Absorb(api, api.Next()) // settle
-			return stage(api, tr, prm, 0, int32(r), hSync, 0)
-		}
-		// Residual: finish the partition, then run the same stage.
-		for tr.HIndex == 0 {
-			tr.Step(api)
-		}
-		for api.Round() < ell {
-			tr.Absorb(api, api.Next())
-		}
-		tr.Absorb(api, api.Next()) // settle
-		return stage(api, tr, prm, int32(r), int32(ell), rSync, block)
-	}
-}
 
 func maxInt(a, b int) int {
 	if a > b {
@@ -303,30 +93,6 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// LegalColoringWC is the worst-case counterpart of OnePlusEta: Procedure
-// Legal-Coloring of [5] (Algorithm 3 in the paper), run on the whole graph
-// after a full worst-case H-partition. It uses the same arbdefective
-// recursion and leaf palette as OnePlusEta — O(a^{1+eta}) colors — but
-// every vertex first waits out the complete Theta(log n) partition, so
-// its vertex-averaged complexity equals its worst case. It is the
-// baseline the Section 7.8 row improves on.
-func LegalColoringWC(a int, eps float64, C int) engine.Program {
-	return func(api *engine.API) any {
-		n := api.N()
-		prm := Params{A: a, Eps: eps, C: C}
-		ell := hpartition.EllBound(n, eps)
-		tr := hpartition.NewTracker(api, a, eps)
-		for tr.HIndex == 0 {
-			tr.Step(api)
-		}
-		for api.Round() < ell {
-			tr.Absorb(api, api.Next())
-		}
-		tr.Absorb(api, api.Next()) // settle
-		return stage(api, tr, prm, 0, int32(ell), ell+2, 0)
-	}
-}
-
-// LegalColoringWCPalette returns the color budget of LegalColoringWC: one
+// LegalColoringWCPalette returns the color budget of LegalColoringWCStep: one
 // stage block.
 func LegalColoringWCPalette(n int, prm Params) int { return StageBlock(n, prm) }

@@ -22,7 +22,7 @@ func TestOnePlusEtaProper(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, C := range []int{3, 5} {
-			res, err := engine.Run(c.g, OnePlusEta(c.a, 2, C), engine.Options{Seed: 1, MaxRounds: 1 << 20})
+			res, err := engine.RunSpec(c.g, engine.Spec{Step: OnePlusEtaStep(c.a, 2, C)}, engine.Options{Seed: 1, MaxRounds: 1 << 20})
 			if err != nil {
 				t.Fatalf("%s C=%d: %v", c.g.Name, C, err)
 			}
@@ -66,7 +66,7 @@ func TestOnePlusEtaVertexAverageLogLogShape(t *testing.T) {
 	var avgs []float64
 	for _, n := range []int{512, 4096, 32768} {
 		g := graph.ForestUnion(n, 2, 13)
-		res, err := engine.Run(g, OnePlusEta(2, 2, 4), engine.Options{Seed: 1, MaxRounds: 1 << 21})
+		res, err := engine.RunSpec(g, engine.Spec{Step: OnePlusEtaStep(2, 2, 4)}, engine.Options{Seed: 1, MaxRounds: 1 << 21})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestOnePlusEtaVertexAverageLogLogShape(t *testing.T) {
 func TestLegalColoringWCProperAndWorstCase(t *testing.T) {
 	g := graph.ForestUnion(400, 3, 9)
 	prm := Params{A: 3, Eps: 2, C: 4}
-	res, err := engine.Run(g, LegalColoringWC(3, 2, 4), engine.Options{Seed: 1, MaxRounds: 1 << 20})
+	res, err := engine.RunSpec(g, engine.Spec{Step: LegalColoringWCStep(3, 2, 4)}, engine.Options{Seed: 1, MaxRounds: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestLegalColoringWCProperAndWorstCase(t *testing.T) {
 		t.Error(err)
 	}
 	// Worst-case structure: no vertex finishes before the full partition.
-	fast, err := engine.Run(g, OnePlusEta(3, 2, 4), engine.Options{Seed: 1, MaxRounds: 1 << 20})
+	fast, err := engine.RunSpec(g, engine.Spec{Step: OnePlusEtaStep(3, 2, 4)}, engine.Options{Seed: 1, MaxRounds: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

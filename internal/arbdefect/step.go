@@ -8,11 +8,6 @@ import (
 	"vavg/internal/hpartition"
 )
 
-// Step (state-machine) forms of OnePlusEta and LegalColoringWC. Each
-// mirrors its blocking counterpart round for round — the cross-backend
-// equivalence suite pins the two forms byte-identical — so the Section
-// 7.8 pair runs goroutine-free on the step backend.
-
 // sleepTo parks the vertex until the turn of global round target,
 // absorbing the accumulated inbox into the partition tracker on wake.
 func sleepTo(api *engine.API, tr *hpartition.Tracker, target int, next func(api *engine.API) engine.Step) engine.Step {
@@ -26,9 +21,13 @@ func sleepTo(api *engine.API, tr *hpartition.Tracker, target int, next func(api 
 	})
 }
 
-// startStage is the step form of stage. The caller invokes it in the turn
-// of global round syncStart with the inbox already absorbed; done fires
-// with the final color in the turn the blocking stage returns in.
+// startStage colors one partition stage (the sets with H-index in
+// (lo, hi]): every set is (A+1)-colored, edges are oriented toward the
+// later set or the higher set color, the arbdefective levels split the
+// stage into classes along that orientation, and iterated Linial colors
+// each class. The caller invokes it in the turn of the stage's global
+// sync round, with the inbox already absorbed; base is the first color of
+// the stage's palette block, and done fires with the final color.
 func startStage(api *engine.API, tr *hpartition.Tracker, prm Params, lo, hi int32, base int, done func(int) engine.Step) engine.Step {
 	n := api.N()
 	A := hpartition.ParamA(prm.A, prm.Eps)
@@ -169,7 +168,11 @@ func startStage(api *engine.API, tr *hpartition.Tracker, prm Params, lo, hi int3
 	})
 }
 
-// OnePlusEtaStep is the step form of OnePlusEta.
+// OnePlusEtaStep is Procedure One-Plus-Eta-Arb-Col (Theorem 7.21): an
+// O(a^{1+eta})-coloring with loglog-in-n vertex-averaged complexity. The
+// H stage colors the vertices that joined within r = ceil(2 loglog n)
+// partition rounds; the residual finishes the partition and runs the same
+// stage on the next palette block.
 func OnePlusEtaStep(a int, eps float64, C int) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
 		n := api.N()
@@ -231,7 +234,13 @@ func OnePlusEtaStep(a int, eps float64, C int) engine.StepProgram {
 	}
 }
 
-// LegalColoringWCStep is the step form of LegalColoringWC.
+// LegalColoringWCStep is the worst-case counterpart of OnePlusEtaStep:
+// Procedure Legal-Coloring of [5] (Algorithm 3 in the paper), run on the
+// whole graph after a full worst-case H-partition. It uses the same
+// arbdefective recursion and leaf palette as OnePlusEtaStep —
+// O(a^{1+eta}) colors — but every vertex first waits out the complete
+// Theta(log n) partition, so its vertex-averaged complexity equals its
+// worst case. It is the baseline the Section 7.8 row improves on.
 func LegalColoringWCStep(a int, eps float64, C int) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
 		n := api.N()

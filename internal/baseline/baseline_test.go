@@ -13,7 +13,7 @@ import (
 
 func TestForestDecompositionWC(t *testing.T) {
 	g := graph.ForestUnion(500, 3, 5)
-	res, err := engine.Run(g, ForestDecompositionWC(3, 2), engine.Options{Seed: 1})
+	res, err := engine.RunSpec(g, engine.Spec{Step: ForestDecompositionWCStep(3, 2)}, engine.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestForestDecompositionWC(t *testing.T) {
 		}
 	}
 	// Contrast with the paper's O(1) vertex-averaged version.
-	fast, err := engine.Run(g, forest.Program(3, 2), engine.Options{Seed: 1})
+	fast, err := engine.RunSpec(g, engine.Spec{Step: forest.StepProgram(3, 2)}, engine.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,15 +47,15 @@ func TestWCColoringsProper(t *testing.T) {
 	A := hpartition.ParamA(2, 2)
 	cases := []struct {
 		name string
-		prog engine.Program
+		prog engine.StepProgram
 		max  int
 	}{
-		{"arblinial", ArbLinialWC(2, 2), coloring.LinialPaletteAfter(g.N(), A)},
-		{"iterated", IteratedArbLinialWC(2, 2), coloring.LinialFinalPalette(g.N(), A)},
-		{"arbcolor", ArbColorWC(2, 2), A + 1},
+		{"arblinial", ArbLinialWCStep(2, 2), coloring.LinialPaletteAfter(g.N(), A)},
+		{"iterated", IteratedArbLinialWCStep(2, 2), coloring.LinialFinalPalette(g.N(), A)},
+		{"arbcolor", ArbColorWCStep(2, 2), A + 1},
 	}
 	for _, c := range cases {
-		res, err := engine.Run(g, c.prog, engine.Options{Seed: 1, MaxRounds: 1 << 20})
+		res, err := engine.RunSpec(g, engine.Spec{Step: c.prog}, engine.Options{Seed: 1, MaxRounds: 1 << 20})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -71,7 +71,7 @@ func TestWCColoringsProper(t *testing.T) {
 
 func TestMISBaselines(t *testing.T) {
 	g := graph.ForestUnion(300, 3, 11)
-	res, err := engine.Run(g, MISByColoringWC(3, 2), engine.Options{Seed: 1, MaxRounds: 1 << 20})
+	res, err := engine.RunSpec(g, engine.Spec{Step: MISByColoringWCStep(3, 2)}, engine.Options{Seed: 1, MaxRounds: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestMISBaselines(t *testing.T) {
 	}
 
 	for seed := int64(1); seed <= 3; seed++ {
-		res, err := engine.Run(g, LubyMIS(), engine.Options{Seed: seed})
+		res, err := engine.RunSpec(g, engine.Spec{Step: LubyMISStep()}, engine.Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestMISBaselines(t *testing.T) {
 func TestRing3Coloring(t *testing.T) {
 	for _, n := range []int{16, 128, 1024} {
 		g := graph.Ring(n)
-		res, err := engine.Run(g, Ring3Coloring(), engine.Options{Seed: 1})
+		res, err := engine.RunSpec(g, engine.Spec{Step: Ring3ColoringStep()}, engine.Options{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestRing3Coloring(t *testing.T) {
 func TestLeaderElectionRing(t *testing.T) {
 	for _, n := range []int{8, 64, 256} {
 		g := graph.Ring(n)
-		res, err := engine.Run(g, LeaderElectionRing(), engine.Options{Seed: 1, MaxRounds: 64 * n})
+		res, err := engine.RunSpec(g, engine.Spec{Step: LeaderElectionRingStep()}, engine.Options{Seed: 1, MaxRounds: 64 * n})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}

@@ -1,7 +1,5 @@
 package baseline
 
-import "vavg/internal/engine"
-
 // hsMsg is a Hirschberg-Sinclair message; batches of them travel each
 // direction every round.
 type hsMsg struct {
@@ -14,115 +12,4 @@ type hsMsg struct {
 // hsBatch is the per-round payload per direction.
 type hsBatch struct {
 	Msgs []hsMsg
-}
-
-// LeaderElectionRing elects the maximum-ID vertex of a cycle using
-// doubling-radius probes (Hirschberg-Sinclair). Per Feuilloley's first
-// definition, a vertex commits its output the moment it learns it cannot
-// be the leader — on average after O(log n) rounds over worst-case ID
-// assignments — but keeps relaying until the leader's completion wave
-// arrives, which takes Theta(n) rounds. The engine's round counts
-// therefore reflect the worst case, while the reported CommitRound values
-// realize the exponential average/worst-case gap of [12]. The program is
-// port-based: it works on any 2-regular connected graph regardless of
-// labeling (use graph.RingShuffled for a ring whose labels carry no
-// positional information).
-func LeaderElectionRing() engine.Program {
-	return func(api *engine.API) any {
-		if api.Degree() != 2 {
-			panic("baseline: leader election requires a cycle")
-		}
-		left, right := 0, 1
-		my := int32(api.ID())
-
-		candidate := true
-		phase := int32(0)
-		replies := 0
-		done := false
-		leader := false
-		var outLeft, outRight []hsMsg
-
-		launch := func() {
-			hops := int32(1) << phase
-			outLeft = append(outLeft, hsMsg{Kind: 0, ID: my, Hops: hops, Phase: phase})
-			outRight = append(outRight, hsMsg{Kind: 0, ID: my, Hops: hops, Phase: phase})
-			replies = 0
-		}
-		launch()
-
-		for !done {
-			if len(outLeft) > 0 {
-				api.Send(left, hsBatch{Msgs: outLeft})
-			}
-			if len(outRight) > 0 {
-				api.Send(right, hsBatch{Msgs: outRight})
-			}
-			outLeft, outRight = nil, nil
-			for _, m := range api.Next() {
-				fromLeft := api.NeighborIndex(m.From) == left
-				batch, ok := m.Data.(hsBatch)
-				if !ok {
-					continue
-				}
-				fwd := &outRight // continue travel away from arrival side
-				back := &outLeft
-				if !fromLeft {
-					fwd, back = &outLeft, &outRight
-				}
-				for _, h := range batch.Msgs {
-					switch h.Kind {
-					case 0: // probe
-						switch {
-						case h.ID == my:
-							// Our own probe circumnavigated: we are leader.
-							leader, candidate = true, true
-							api.Commit()
-							*fwd = append(*fwd, hsMsg{Kind: 2, ID: my})
-							done = true
-						case h.ID > my:
-							if candidate {
-								candidate = false
-								api.Commit()
-							}
-							if h.Hops > 1 {
-								*fwd = append(*fwd, hsMsg{Kind: 0, ID: h.ID, Hops: h.Hops - 1, Phase: h.Phase})
-							} else {
-								*back = append(*back, hsMsg{Kind: 1, ID: h.ID, Phase: h.Phase})
-							}
-						default:
-							// Smaller candidate: swallow the probe.
-						}
-					case 1: // reply
-						if h.ID == my {
-							if candidate && h.Phase == phase {
-								replies++
-							}
-						} else {
-							*fwd = append(*fwd, h)
-						}
-					case 2: // completion wave
-						if h.ID != my {
-							*fwd = append(*fwd, h)
-							api.Commit()
-							done = true
-						}
-					}
-				}
-			}
-			if candidate && !leader && replies == 2 {
-				phase++
-				launch()
-			}
-		}
-		// Flush any last relayed messages (the completion wave) in one
-		// final round before terminating.
-		if len(outLeft) > 0 {
-			api.Send(left, hsBatch{Msgs: outLeft})
-		}
-		if len(outRight) > 0 {
-			api.Send(right, hsBatch{Msgs: outRight})
-		}
-		api.Next()
-		return LeaderOutput{Leader: leader}
-	}
 }

@@ -7,12 +7,10 @@ import (
 	"vavg/internal/hpartition"
 )
 
-// Step (state-machine) forms of the worst-case baselines. Each turn
-// reproduces one round of the blocking form, so the two forms are
-// byte-identical on every backend.
-
-// startWCDecomp is the step form of wcDecomp; done runs in the settle
-// turn, mirroring wcDecomp's return.
+// startWCDecomp runs the worst-case forest decomposition inside a vertex
+// machine: the full ell partition rounds (staying active throughout), one
+// settle round, then local orientation and labeling. done runs in the
+// settle turn.
 func startWCDecomp(api *engine.API, a int, eps float64,
 	done func(d *forest.Decomp) engine.Step) engine.Step {
 	d := forest.NewDecomp(api, a, eps)
@@ -21,7 +19,9 @@ func startWCDecomp(api *engine.API, a int, eps float64,
 	})
 }
 
-// ForestDecompositionWCStep is the step form of ForestDecompositionWC.
+// ForestDecompositionWCStep is the classical Procedure
+// Forest-Decomposition: the same output as forest.StepProgram, but every
+// vertex runs Theta(log n) rounds.
 func ForestDecompositionWCStep(a int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
 		return func(api *engine.API, _ []engine.Msg) engine.Step {
@@ -32,7 +32,9 @@ func ForestDecompositionWCStep(a int, eps float64) engine.StepProgram {
 	}
 }
 
-// ArbLinialWCStep is the step form of ArbLinialWC.
+// ArbLinialWCStep colors with one Linial step after the full worst-case
+// decomposition: an O(a^2 log^2 n)-coloring in Theta(log n) rounds for
+// every vertex.
 func ArbLinialWCStep(a int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
 		return func(api *engine.API, _ []engine.Msg) engine.Step {
@@ -48,7 +50,9 @@ func ArbLinialWCStep(a int, eps float64) engine.StepProgram {
 	}
 }
 
-// IteratedArbLinialWCStep is the step form of IteratedArbLinialWC.
+// IteratedArbLinialWCStep colors with the full iterated
+// Arb-Linial-Coloring after the worst-case decomposition: an
+// O(a^2)-coloring in Theta(log n + log* n) rounds for every vertex.
 func IteratedArbLinialWCStep(a int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
 		return func(api *engine.API, _ []engine.Msg) engine.Step {
@@ -61,7 +65,10 @@ func IteratedArbLinialWCStep(a int, eps float64) engine.StepProgram {
 	}
 }
 
-// ArbColorWCStep is the step form of ArbColorWC.
+// ArbColorWCStep is Procedure Arb-Color of [8]: worst-case
+// decomposition, then a bottom-up recoloring wave over the whole graph
+// with the palette {0..A}: an O(a)-coloring in Theta(a log n) rounds for
+// every vertex.
 func ArbColorWCStep(a int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
 		return func(api *engine.API, _ []engine.Msg) engine.Step {
@@ -106,7 +113,9 @@ func ArbColorWCStep(a int, eps float64) engine.StepProgram {
 	}
 }
 
-// MISByColoringWCStep is the step form of MISByColoringWC.
+// MISByColoringWCStep computes an MIS deterministically via the
+// worst-case O(a^2)-coloring followed by a full color-class sweep:
+// Theta(log n + a^2) rounds for every vertex.
 func MISByColoringWCStep(a int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
 		return func(api *engine.API, _ []engine.Msg) engine.Step {
@@ -144,7 +153,12 @@ func MISByColoringWCStep(a int, eps float64) engine.StepProgram {
 	}
 }
 
-// LubyMISStep is the step form of LubyMIS.
+// LubyMISStep is Luby's randomized maximal independent set: O(log n)
+// rounds w.h.p. Phases take two lockstep rounds: priorities are
+// exchanged, local maxima join the MIS and terminate (their Final
+// announces it), and dominated vertices terminate in the following round.
+// Priorities are the only fast-lane traffic of the program, so they travel
+// untagged with the full 63 random bits.
 func LubyMISStep() engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
 		var p int64
@@ -185,7 +199,10 @@ func LubyMISStep() engine.StepProgram {
 	}
 }
 
-// Ring3ColoringStep is the step form of Ring3Coloring.
+// Ring3ColoringStep 3-colors a cycle generated by graph.Ring via
+// Cole-Vishkin with the successor orientation: Theta(log* n) rounds for
+// every vertex, matching Feuilloley's result that the vertex-averaged
+// complexity of ring coloring cannot beat the worst case.
 func Ring3ColoringStep() engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
 		return func(api *engine.API, _ []engine.Msg) engine.Step {
@@ -199,7 +216,17 @@ func Ring3ColoringStep() engine.StepProgram {
 	}
 }
 
-// LeaderElectionRingStep is the step form of LeaderElectionRing.
+// LeaderElectionRingStep elects the maximum-ID vertex of a cycle using
+// doubling-radius probes (Hirschberg-Sinclair). Per Feuilloley's first
+// definition, a vertex commits its output the moment it learns it cannot
+// be the leader — on average after O(log n) rounds over worst-case ID
+// assignments — but keeps relaying until the leader's completion wave
+// arrives, which takes Theta(n) rounds. The engine's round counts
+// therefore reflect the worst case, while the reported CommitRound values
+// realize the exponential average/worst-case gap of [12]. The program is
+// port-based: it works on any 2-regular connected graph regardless of
+// labeling (use graph.RingShuffled for a ring whose labels carry no
+// positional information).
 func LeaderElectionRingStep() engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
 		if api.Degree() != 2 {

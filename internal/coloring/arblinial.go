@@ -4,35 +4,10 @@ import (
 	"math"
 
 	"vavg/internal/engine"
-	"vavg/internal/forest"
 	"vavg/internal/hpartition"
 )
 
-// ArbLinialO1 is the algorithm of Section 7.2: an O(a^2 log n)-coloring
-// with O(1) vertex-averaged complexity. It runs Procedure
-// Parallelized-Forest-Decomposition and, immediately upon the formation of
-// each H-set, colors its vertices with a single step of Procedure
-// Arb-Linial-Coloring — which is purely local, because the parents'
-// current colors are their IDs, already known at settle time. A vertex
-// joining in partition round i therefore terminates in round i+2.
-//
-// (Our constructive Linial step uses the polynomial set system, giving a
-// palette of O(a^2 log^2 n / log^2(a log n)) rather than the
-// non-constructive 5*ceil(A^2 log n); see DESIGN.md.)
-func ArbLinialO1(a int, eps float64) engine.Program {
-	return func(api *engine.API) any {
-		d := forest.NewDecomp(api, a, eps)
-		d.JoinAndSettle(api)
-		parents := make([]int, len(d.OutIdx))
-		ids := api.NeighborIDs()
-		for j, k := range d.OutIdx {
-			parents[j] = int(ids[k])
-		}
-		return LinialStep(api.N(), d.Tr.A, api.ID(), parents)
-	}
-}
-
-// ArbLinialO1Palette returns the palette bound of ArbLinialO1.
+// ArbLinialO1Palette returns the palette bound of ArbLinialO1Step.
 func ArbLinialO1Palette(n, a int, eps float64) int {
 	return LinialPaletteAfter(n, hpartition.ParamA(a, eps))
 }
@@ -74,53 +49,8 @@ func SegmentParents(api *engine.API, tr *hpartition.Tracker, lo, hi int32) (memb
 	return members, parents
 }
 
-// TwoPhaseA2 is the algorithm of Section 7.3: an O(a^2)-coloring with
-// O(log log n) vertex-averaged complexity. Phase 1 runs t = O(log log n)
-// partition rounds and colors the segment H_1..H_t with the full iterated
-// Arb-Linial-Coloring (O(log* n) rounds); phase 2 finishes the partition
-// (by round EllBound, leaving only O(n / log n) vertices) and colors the
-// remaining segment the same way with a disjoint palette. The flattened
-// output color is c + (phase-1)*P with P = TwoPhaseA2PhasePalette.
-func TwoPhaseA2(a int, eps float64) engine.Program {
-	return func(api *engine.API) any {
-		n := api.N()
-		tr := hpartition.NewTracker(api, a, eps)
-		A := tr.A
-		t, ell := phaseSplit(n, eps)
-		P := LinialFinalPalette(n, A)
-
-		for int32(api.Round()) < int32(t) && tr.HIndex == 0 {
-			tr.Step(api)
-		}
-		phase := 1
-		segLo, segHi := int32(0), int32(t)
-		if tr.HIndex == 0 {
-			// Phase 2: keep partitioning until joined, then wait out the
-			// global partition bound.
-			phase = 2
-			segLo, segHi = int32(t), int32(ell)
-			for tr.HIndex == 0 {
-				tr.Step(api)
-			}
-			for api.Round() < ell {
-				tr.Absorb(api, api.Next())
-			}
-		} else {
-			// Phase 1: wait for the rest of the segment to form.
-			for api.Round() < t {
-				tr.Absorb(api, api.Next())
-			}
-		}
-		// Settle round: the segment's last joins announce themselves.
-		tr.Absorb(api, api.Next())
-		members, parents := SegmentParents(api, tr, segLo, segHi)
-		c := IteratedLinial(api, members, parents, A, func(ms []engine.Msg) { tr.Absorb(api, ms) })
-		return c + (phase-1)*P
-	}
-}
-
 // TwoPhaseA2PhasePalette returns the per-phase palette bound P of
-// TwoPhaseA2; the algorithm uses at most 2P = O(a^2) colors.
+// TwoPhaseA2Step; the algorithm uses at most 2P = O(a^2) colors.
 func TwoPhaseA2PhasePalette(n, a int, eps float64) int {
 	return LinialFinalPalette(n, hpartition.ParamA(a, eps))
 }

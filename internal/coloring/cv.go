@@ -2,8 +2,6 @@ package coloring
 
 import (
 	"math/bits"
-
-	"vavg/internal/engine"
 )
 
 // cvPaletteAfter returns the palette after one Cole-Vishkin bit-reduction
@@ -27,7 +25,7 @@ func CVSteps(n int) int {
 	return steps
 }
 
-// CVForestRounds returns the total exchanges of CVForests: the
+// CVForestRounds returns the total exchanges of StartCVForests: the
 // bit-reduction steps plus six rounds of shift-down/class-removal that
 // bring the palette from 6 to 3.
 func CVForestRounds(n int) int { return CVSteps(n) + 6 }
@@ -45,91 +43,4 @@ func cvStep(c, cp int32) int32 {
 	d := c ^ cp
 	i := int32(bits.TrailingZeros32(uint32(d)))
 	return 2*i + ((c >> i) & 1)
-}
-
-// CVForests 3-colors the vertices of up to numLabels rooted forests in
-// parallel, in CVForestRounds(n) exchanges. parentIdx[j] is the neighbor
-// index of this vertex's parent in forest j (1-based label), or -1 if the
-// vertex is a root of forest j (most vertices are roots of most forests).
-// All participating vertices must run in lockstep from the same round.
-// The result maps each label to a color in {0,1,2}; adjacent vertices of
-// the same forest always receive distinct colors.
-//
-// This is the classical Cole-Vishkin procedure on rooted trees, used here
-// to sequence the per-forest protocols of the Section 8 edge-coloring and
-// matching algorithms (Corollaries 8.6, 8.8).
-func CVForests(api *engine.API, numLabels int, parentIdx []int, sink Sink) []int32 {
-	n := api.N()
-	colors := make([]int32, numLabels+1) // 1-based labels
-	for j := range colors {
-		colors[j] = int32(api.ID())
-	}
-	parentColors := make([]int32, numLabels+1)
-
-	exchange := func() {
-		api.Broadcast(cvForestMsg{Colors: append([]int32(nil), colors...)})
-		var stray []engine.Msg
-		for _, m := range api.Next() {
-			cm, ok := m.Data.(cvForestMsg)
-			if !ok {
-				stray = append(stray, m)
-				continue
-			}
-			k := api.NeighborIndex(m.From)
-			for j := 1; j <= numLabels; j++ {
-				if parentIdx[j] == k && j < len(cm.Colors) {
-					parentColors[j] = cm.Colors[j]
-				}
-			}
-		}
-		if len(stray) > 0 {
-			sink(stray)
-		}
-	}
-
-	steps := CVSteps(n)
-	for s := 0; s < steps; s++ {
-		exchange()
-		for j := 1; j <= numLabels; j++ {
-			cp := parentColors[j]
-			if parentIdx[j] < 0 {
-				cp = colors[j] ^ 1
-			}
-			colors[j] = cvStep(colors[j], cp)
-		}
-	}
-	// Shift-down + remove classes 5, 4, 3. After shift-down all children of
-	// a vertex share its pre-shift color, so a recoloring vertex only needs
-	// to avoid its new (parent-derived) color's neighbor set: the parent's
-	// new color and its own pre-shift color.
-	for _, removed := range []int32{5, 4, 3} {
-		exchange() // learn parents' colors for the shift
-		preShift := make([]int32, numLabels+1)
-		for j := 1; j <= numLabels; j++ {
-			preShift[j] = colors[j]
-			if parentIdx[j] < 0 {
-				// Root: pick a color in {0,1,2} different from its own.
-				colors[j] = (colors[j] + 1) % 3
-			} else {
-				colors[j] = parentColors[j]
-			}
-		}
-		exchange() // learn parents' post-shift colors for the removal
-		for j := 1; j <= numLabels; j++ {
-			if colors[j] != removed {
-				continue
-			}
-			forbidden := [2]int32{preShift[j], -1}
-			if parentIdx[j] >= 0 {
-				forbidden[1] = parentColors[j]
-			}
-			for c := int32(0); c < 3; c++ {
-				if c != forbidden[0] && c != forbidden[1] {
-					colors[j] = c
-					break
-				}
-			}
-		}
-	}
-	return colors[:numLabels+1]
 }

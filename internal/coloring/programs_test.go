@@ -36,7 +36,7 @@ var colorFamilies = []struct {
 
 func TestArbLinialO1Proper(t *testing.T) {
 	for _, c := range colorFamilies {
-		res, err := engine.Run(c.g, ArbLinialO1(c.a, 2), engine.Options{Seed: 1})
+		res, err := engine.RunSpec(c.g, engine.Spec{Step: ArbLinialO1Step(c.a, 2)}, engine.Options{Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", c.g.Name, err)
 		}
@@ -50,7 +50,7 @@ func TestArbLinialO1Proper(t *testing.T) {
 func TestArbLinialO1VertexAveragedConstant(t *testing.T) {
 	for _, n := range []int{500, 2000, 8000} {
 		g := graph.ForestUnion(n, 2, 9)
-		res, err := engine.Run(g, ArbLinialO1(2, 2), engine.Options{Seed: 1})
+		res, err := engine.RunSpec(g, engine.Spec{Step: ArbLinialO1Step(2, 2)}, engine.Options{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestArbLinialO1VertexAveragedConstant(t *testing.T) {
 
 func TestTwoPhaseA2Proper(t *testing.T) {
 	for _, c := range colorFamilies {
-		res, err := engine.Run(c.g, TwoPhaseA2(c.a, 2), engine.Options{Seed: 1})
+		res, err := engine.RunSpec(c.g, engine.Spec{Step: TwoPhaseA2Step(c.a, 2)}, engine.Options{Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", c.g.Name, err)
 		}
@@ -88,7 +88,7 @@ func TestTwoPhaseA2PaletteOrderASquared(t *testing.T) {
 
 func TestAColorLogLogProper(t *testing.T) {
 	for _, c := range colorFamilies {
-		res, err := engine.Run(c.g, AColorLogLog(c.a, 2), engine.Options{Seed: 1, MaxRounds: 1 << 20})
+		res, err := engine.RunSpec(c.g, engine.Spec{Step: AColorLogLogStep(c.a, 2)}, engine.Options{Seed: 1, MaxRounds: 1 << 20})
 		if err != nil {
 			t.Fatalf("%s: %v", c.g.Name, err)
 		}
@@ -107,19 +107,24 @@ func TestAColorPaletteLinearInA(t *testing.T) {
 	}
 }
 
+// done terminates a standalone subroutine run with the subroutine's color.
+func done(c int) engine.Step { return engine.Done(c) }
+
 func TestDeltaPlus1OnSetStandalone(t *testing.T) {
-	// Run DeltaPlus1OnSet on whole small graphs (members = all neighbors):
+	// Run StartDeltaPlus1OnSet on whole small graphs (members = all neighbors):
 	// result must be a proper coloring with at most Delta+1 colors.
 	for _, g := range []*graph.Graph{graph.Ring(40), graph.Clique(9), graph.TriangulatedGrid(6, 6)} {
 		A := g.MaxDegree()
-		prog := func(api *engine.API) any {
-			members := make([]int, api.Degree())
-			for k := range members {
-				members[k] = k
+		prog := func(api *engine.API) engine.StepFn {
+			return func(api *engine.API, _ []engine.Msg) engine.Step {
+				members := make([]int, api.Degree())
+				for k := range members {
+					members[k] = k
+				}
+				return StartDeltaPlus1OnSet(api, members, A, NopSink, done)
 			}
-			return DeltaPlus1OnSet(api, members, A, NopSink)
 		}
-		res, err := engine.Run(g, prog, engine.Options{Seed: 1})
+		res, err := engine.RunSpec(g, engine.Spec{Step: prog}, engine.Options{Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
@@ -142,18 +147,18 @@ func TestDeltaPlus1OnSetStandalone(t *testing.T) {
 func TestIteratedLinialStandalone(t *testing.T) {
 	g := graph.ForestUnion(200, 2, 3)
 	A := g.MaxDegree() // orientation by ID has out-degree <= Delta here
-	prog := func(api *engine.API) any {
-		members := make([]int, api.Degree())
-		var parents []int
-		for k := range members {
-			members[k] = k
-			if int(api.NeighborIDs()[k]) > api.ID() {
-				parents = append(parents, k)
+	prog := func(api *engine.API) engine.StepFn {
+		return func(api *engine.API, _ []engine.Msg) engine.Step {
+			var parents []int
+			for k, id := range api.NeighborIDs() {
+				if int(id) > api.ID() {
+					parents = append(parents, k)
+				}
 			}
+			return StartIteratedLinial(api, parents, A, NopSink, done)
 		}
-		return IteratedLinial(api, members, parents, A, NopSink)
 	}
-	res, err := engine.Run(g, prog, engine.Options{Seed: 1})
+	res, err := engine.RunSpec(g, engine.Spec{Step: prog}, engine.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +174,7 @@ func TestIteratedLinialStandalone(t *testing.T) {
 // levels must color through the phase-2 path (palette block 2).
 func TestTwoPhaseA2Phase2Exercised(t *testing.T) {
 	g := graph.KaryTree(100000, 5)
-	res, err := engine.Run(g, TwoPhaseA2(1, 2), engine.Options{Seed: 1, MaxRounds: 1 << 20})
+	res, err := engine.RunSpec(g, engine.Spec{Step: TwoPhaseA2Step(1, 2)}, engine.Options{Seed: 1, MaxRounds: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +199,7 @@ func TestTwoPhaseA2Phase2Exercised(t *testing.T) {
 // algorithm: inner tree levels must recolor from the phase-2 block.
 func TestAColorLogLogPhase2Exercised(t *testing.T) {
 	g := graph.KaryTree(50000, 5)
-	res, err := engine.Run(g, AColorLogLog(1, 2), engine.Options{Seed: 1, MaxRounds: 1 << 21})
+	res, err := engine.RunSpec(g, engine.Spec{Step: AColorLogLogStep(1, 2)}, engine.Options{Seed: 1, MaxRounds: 1 << 21})
 	if err != nil {
 		t.Fatal(err)
 	}

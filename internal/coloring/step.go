@@ -6,16 +6,20 @@ import (
 	"vavg/internal/hpartition"
 )
 
-// Step (state-machine) forms of the coloring subroutines and algorithms.
-// Each Start* constructor begins a sub-machine inside the caller's current
-// turn — performing exactly the local work and sends the blocking form
-// performs before its first receive — and returns the Step that continues
-// it. done is invoked in the turn the subroutine's blocking form returns
-// in, so compositions keep the same round structure and the two forms are
-// byte-identical on every backend.
+// The coloring subroutines and algorithms. Each Start* constructor begins
+// a sub-machine inside the caller's current turn — doing the local work
+// and sends of the subroutine's first round — and returns the Step that
+// continues it. done is invoked in the turn the subroutine finishes, and
+// its Step becomes the caller's verdict for that turn, so subroutines
+// compose without adding rounds.
 
-// StartIteratedLinial is the step form of IteratedLinial. It takes no
-// members list: the parents are all the reduction reads.
+// StartIteratedLinial runs Procedure Arb-Linial-Coloring on a
+// synchronized set of vertices: parentIdx lists the caller's parents
+// (neighbor indices) under an acyclic orientation with out-degree at most
+// A. Initial colors are vertex IDs (a proper n-coloring). All instance
+// vertices must start in the same round and run in lockstep. The
+// subroutine performs IteratedLinialRounds(n, A) exchanges and passes the
+// final color, in [0, LinialFinalPalette(n, A)), to done.
 func StartIteratedLinial(api *engine.API, parentIdx []int, A int,
 	sink Sink, done func(int) engine.Step) engine.Step {
 	sched := LinialSchedule(api.N(), A)
@@ -64,7 +68,14 @@ func StartIteratedLinial(api *engine.API, parentIdx []int, A int,
 	return advance(api)
 }
 
-// StartKWReduce is the step form of KWReduce.
+// StartKWReduce applies Kuhn-Wattenhofer palette halving to reduce a
+// proper m-coloring of the member set (within which this vertex has at
+// most A neighbors) to a proper coloring with palette [0, A+1), passed to
+// done. All instance vertices start in the same round with consistent
+// (m, A). In each phase the current classes are split into groups of
+// 2(A+1); the classes of a group take turns (one round each) choosing a
+// free color from the group's fresh (A+1)-color target palette, so each
+// phase halves the palette at a cost of 2(A+1) rounds.
 func StartKWReduce(api *engine.API, members []int, myColor, m, A int,
 	sink Sink, done func(int) engine.Step) engine.Step {
 	phases := kwPhases(m, A)
@@ -128,7 +139,13 @@ func StartKWReduce(api *engine.API, members []int, myColor, m, A int,
 	return startPhase(api)
 }
 
-// StartDeltaPlus1OnSet is the step form of DeltaPlus1OnSet.
+// StartDeltaPlus1OnSet colors the member set with at most A+1 colors,
+// where A bounds this vertex's degree within the set, in
+// DeltaPlus1Rounds(n, A) exchanges: iterated Linial from IDs oriented by
+// descending ID, then KW reduction. This is the library's stand-in for the
+// Barenboim-Elkin linear-in-Delta (Delta+1)-coloring invoked by the paper
+// on H-sets; its O(A log A + log* n) running time preserves the paper's
+// O(a ...) shape (see DESIGN.md, substitution 1).
 func StartDeltaPlus1OnSet(api *engine.API, members []int, A int,
 	sink Sink, done func(int) engine.Step) engine.Step {
 	ids := api.NeighborIDs()
@@ -143,7 +160,21 @@ func StartDeltaPlus1OnSet(api *engine.API, members []int, A int,
 	})
 }
 
-// StartCVForests is the step form of CVForests.
+// StartCVForests 3-colors the vertices of up to numLabels rooted forests
+// in parallel, in CVForestRounds(n) exchanges. parentIdx[j] is the
+// neighbor index of this vertex's parent in forest j (1-based label), or
+// -1 if the vertex is a root of forest j (most vertices are roots of most
+// forests). All participating vertices must run in lockstep from the same
+// round. done receives the colors indexed by label, each in {0,1,2};
+// adjacent vertices of the same forest always receive distinct colors.
+//
+// This is the classical Cole-Vishkin procedure on rooted trees, used here
+// to sequence the per-forest protocols of the Section 8 edge-coloring and
+// matching algorithms (Corollaries 8.6, 8.8). After the bit-reduction
+// steps, three shift-down rounds each remove one of the classes 5, 4, 3:
+// after a shift-down all children of a vertex share its pre-shift color,
+// so a recoloring vertex only has to avoid its parent's new color and its
+// own pre-shift color.
 func StartCVForests(api *engine.API, numLabels int, parentIdx []int,
 	sink Sink, done func([]int32) engine.Step) engine.Step {
 	n := api.N()
@@ -241,7 +272,17 @@ func StartCVForests(api *engine.API, numLabels int, parentIdx []int,
 	return engine.Continue(shiftA)
 }
 
-// ArbLinialO1Step is the step form of ArbLinialO1. Every vertex shares
+// ArbLinialO1Step is the algorithm of Section 7.2: an O(a^2 log n)-coloring
+// with O(1) vertex-averaged complexity. It runs Procedure
+// Parallelized-Forest-Decomposition and, immediately upon the formation of
+// each H-set, colors its vertices with a single step of Procedure
+// Arb-Linial-Coloring — which is purely local, because the parents'
+// current colors are their IDs, already known at settle time. A vertex
+// joining in partition round i therefore terminates in round i+2.
+//
+// (Our constructive Linial step uses the polynomial set system, giving a
+// palette of O(a^2 log^2 n / log^2(a log n)) rather than the
+// non-constructive 5*ceil(A^2 log n); see DESIGN.md.) Every vertex shares
 // one entry StepFn; its per-vertex state is created in the entry turn.
 func ArbLinialO1Step(a int, eps float64) engine.StepProgram {
 	first := func(api *engine.API, _ []engine.Msg) engine.Step {
@@ -261,7 +302,13 @@ func ArbLinialO1Step(a int, eps float64) engine.StepProgram {
 	return func(*engine.API) engine.StepFn { return first }
 }
 
-// TwoPhaseA2Step is the step form of TwoPhaseA2.
+// TwoPhaseA2Step is the algorithm of Section 7.3: an O(a^2)-coloring with
+// O(log log n) vertex-averaged complexity. Phase 1 runs t = O(log log n)
+// partition rounds and colors the segment H_1..H_t with the full iterated
+// Arb-Linial-Coloring (O(log* n) rounds); phase 2 finishes the partition
+// (by round EllBound, leaving only O(n / log n) vertices) and colors the
+// remaining segment the same way with a disjoint palette. The flattened
+// output color is c + (phase-1)*P with P = TwoPhaseA2PhasePalette.
 func TwoPhaseA2Step(a int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
 		n := api.N()
@@ -282,8 +329,8 @@ func TwoPhaseA2Step(a int, eps float64) engine.StepProgram {
 				return engine.Done(c + (phase-1)*P)
 			})
 		}
-		// The blocking form idles to the segment boundary and settles one
-		// round later; a single sleep accumulates the same absorbs.
+		// Idle to the segment boundary and settle one round later; a
+		// single sleep accumulates every absorb of the wait.
 		joined := func(api *engine.API) engine.Step {
 			k := waitEnd + 1 - api.Round()
 			if k < 1 {
@@ -320,7 +367,17 @@ func TwoPhaseA2Step(a int, eps float64) engine.StepProgram {
 	}
 }
 
-// AColorLogLogStep is the step form of AColorLogLog.
+// AColorLogLogStep is the algorithm of Section 7.4: an O(a)-coloring with
+// O((a log a + log* n) * log log n) vertex-averaged complexity (the paper
+// states O(a log log n); the log a and log* n factors come from our
+// (Delta+1)-on-H-set substitute, see DESIGN.md). The algorithm proceeds in
+// iterations; in iteration i, the H-set H_i forms, is colored with A+1
+// colors, and orients its edges by color (within the set) and toward later
+// sets. After the t = O(log log n) phase-1 iterations, the phase-1 segment
+// recolors along the acyclic orientation from the palette {0..A}, each
+// vertex waiting for its parents; phase 2 does the same for the remaining
+// sets with a disjoint palette. Final flat color = c + (phase-1)*(A+1),
+// so at most 2(A+1) = O(a) colors are used.
 func AColorLogLogStep(a int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
 		n := api.N()

@@ -65,52 +65,7 @@ func newMemberSet(api *engine.API, members []int) memberSet {
 	return m
 }
 
-// IteratedLinial runs Procedure Arb-Linial-Coloring on a synchronized set
-// of vertices: the caller's instance consists of the neighbor indices in
-// members (its neighbors participating in the instance), of which
-// parentIdx are its parents under an acyclic orientation with out-degree
-// at most A. Initial colors are vertex IDs (a proper n-coloring). All
-// instance vertices must start in the same round and run in lockstep. The
-// routine performs IteratedLinialRounds(n, A) exchanges and returns the
-// final color, in [0, LinialFinalPalette(n, A)).
-func IteratedLinial(api *engine.API, members, parentIdx []int, A int, sink Sink) int {
-	sched := LinialSchedule(api.N(), A)
-	ids := api.NeighborIDs()
-	parentColors := make([]int, len(parentIdx))
-	for j, k := range parentIdx {
-		parentColors[j] = int(ids[k])
-	}
-	parentOf := make(map[int32]int, len(parentIdx)) // vertex ID -> slot
-	for j, k := range parentIdx {
-		parentOf[ids[k]] = j
-	}
-	c := api.ID()
-	for step := 1; step < len(sched); step++ {
-		c = LinialStep(sched[step-1], A, c, parentColors)
-		if step == len(sched)-1 {
-			break // no one needs my color for a further step
-		}
-		broadcastColor(api, step, c)
-		msgs := api.Next()
-		var stray []engine.Msg
-		for _, m := range msgs {
-			mstep, mc, ok := asColor(m)
-			if !ok {
-				stray = append(stray, m)
-				continue
-			}
-			if j, isParent := parentOf[m.From]; isParent && mstep == step {
-				parentColors[j] = mc
-			}
-		}
-		if len(stray) > 0 {
-			sink(stray)
-		}
-	}
-	return c
-}
-
-// IteratedLinialRounds returns the number of exchanges IteratedLinial
+// IteratedLinialRounds returns the number of exchanges StartIteratedLinial
 // performs for an n-vertex graph and out-degree bound A: one per reduction
 // step except the last. This is O(log* n).
 func IteratedLinialRounds(n, A int) int {
@@ -133,7 +88,7 @@ func kwPhases(m, A int) []int {
 	return phases
 }
 
-// KWRounds returns the number of exchanges KWReduce performs when
+// KWRounds returns the number of exchanges StartKWReduce performs when
 // reducing a proper m-coloring to A+1 colors: O(A log(m/A)) — with
 // m = O(A^2), O(A log A).
 func KWRounds(m, A int) int {
@@ -144,79 +99,10 @@ func KWRounds(m, A int) int {
 	return total
 }
 
-// KWReduce applies Kuhn-Wattenhofer palette halving to reduce a proper
-// m-coloring of the member set (within which this vertex has at most A
-// neighbors) to a proper coloring with palette [0, A+1). All instance
-// vertices start in the same round with consistent (m, A). In each phase
-// the current classes are split into groups of 2(A+1); the classes of a
-// group take turns (one round each) choosing a free color from the
-// group's fresh (A+1)-color target palette, so each phase halves the
-// palette at a cost of 2(A+1) rounds.
-func KWReduce(api *engine.API, members []int, myColor, m, A int, sink Sink) int {
-	ms := newMemberSet(api, members)
-	c := myColor
-	for range kwPhases(m, A) {
-		groupSize := 2 * (A + 1)
-		group := c / groupSize
-		class := c % groupSize
-		base := group * (A + 1)
-		taken := make(map[int]bool) // colors announced this phase
-		chosen := -1
-		for r := 0; r < groupSize; r++ {
-			if r == class {
-				for cand := base; ; cand++ {
-					if !taken[cand] {
-						chosen = cand
-						break
-					}
-				}
-				BroadcastChosen(api, kwKind, int32(chosen))
-			}
-			msgs := api.Next()
-			var stray []engine.Msg
-			for _, msg := range msgs {
-				mc, ok := AsChosen(msg, kwKind)
-				if !ok || !ms.idx[msg.From] {
-					stray = append(stray, msg)
-					continue
-				}
-				taken[int(mc)] = true
-			}
-			if len(stray) > 0 {
-				sink(stray)
-			}
-		}
-		if chosen < 0 {
-			panic("coloring: KW vertex never scheduled (improper input coloring?)")
-		}
-		c = chosen
-	}
-	return c
-}
-
 const kwKind = 1
 
-// DeltaPlus1Rounds returns the exchange count of DeltaPlus1OnSet for an
+// DeltaPlus1Rounds returns the exchange count of StartDeltaPlus1OnSet for an
 // n-vertex graph with within-set degree bound A: iterated Linial plus KW.
 func DeltaPlus1Rounds(n, A int) int {
 	return IteratedLinialRounds(n, A) + KWRounds(LinialFinalPalette(n, A), A)
-}
-
-// DeltaPlus1OnSet colors the member set with at most A+1 colors, where A
-// bounds this vertex's degree within the set, in DeltaPlus1Rounds(n, A)
-// exchanges: iterated Linial from IDs oriented by descending ID, then KW
-// reduction. This is the library's stand-in for the Barenboim-Elkin
-// linear-in-Delta (Delta+1)-coloring invoked by the paper on H-sets; its
-// O(A log A + log* n) running time preserves the paper's O(a ...) shape
-// (see DESIGN.md, substitution 1).
-func DeltaPlus1OnSet(api *engine.API, members []int, A int, sink Sink) int {
-	ids := api.NeighborIDs()
-	var parents []int
-	for _, k := range members {
-		if int(ids[k]) > api.ID() {
-			parents = append(parents, k)
-		}
-	}
-	c := IteratedLinial(api, members, parents, A, sink)
-	return KWReduce(api, members, c, LinialFinalPalette(api.N(), A), A, sink)
 }

@@ -8,20 +8,22 @@ import (
 	"vavg/internal/graph"
 )
 
-// TestKWReduceStandalone feeds KWReduce a proper m-coloring (vertex IDs on
+// TestKWReduceStandalone feeds StartKWReduce a proper m-coloring (vertex IDs on
 // a graph with max degree <= A) and checks the reduction to A+1 colors.
 func TestKWReduceStandalone(t *testing.T) {
 	for _, g := range []*graph.Graph{graph.Ring(30), graph.Grid(5, 6), graph.Clique(7)} {
 		A := g.MaxDegree()
 		m := g.N()
-		prog := func(api *engine.API) any {
-			members := make([]int, api.Degree())
-			for k := range members {
-				members[k] = k
+		prog := func(api *engine.API) engine.StepFn {
+			return func(api *engine.API, _ []engine.Msg) engine.Step {
+				members := make([]int, api.Degree())
+				for k := range members {
+					members[k] = k
+				}
+				return StartKWReduce(api, members, api.ID(), m, A, NopSink, done)
 			}
-			return KWReduce(api, members, api.ID(), m, A, NopSink)
 		}
-		res, err := engine.Run(g, prog, engine.Options{Seed: 1})
+		res, err := engine.RunSpec(g, engine.Spec{Step: prog}, engine.Options{Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
@@ -53,27 +55,30 @@ func TestCVForestsStandalone(t *testing.T) {
 		colors  []int32
 		parents []int // per label: parent vertex ID or -1
 	}
-	prog := func(api *engine.API) any {
-		// Deterministic forest structure: out-edges to higher IDs, label =
-		// rank among them (capped at numLabels).
-		parentIdx := make([]int, numLabels+1)
-		parentID := make([]int, numLabels+1)
-		for j := range parentIdx {
-			parentIdx[j] = -1
-			parentID[j] = -1
-		}
-		label := 0
-		for k, id := range api.NeighborIDs() {
-			if int(id) > api.ID() && label < numLabels {
-				label++
-				parentIdx[label] = k
-				parentID[label] = int(id)
+	prog := func(api *engine.API) engine.StepFn {
+		return func(api *engine.API, _ []engine.Msg) engine.Step {
+			// Deterministic forest structure: out-edges to higher IDs,
+			// label = rank among them (capped at numLabels).
+			parentIdx := make([]int, numLabels+1)
+			parentID := make([]int, numLabels+1)
+			for j := range parentIdx {
+				parentIdx[j] = -1
+				parentID[j] = -1
 			}
+			label := 0
+			for k, id := range api.NeighborIDs() {
+				if int(id) > api.ID() && label < numLabels {
+					label++
+					parentIdx[label] = k
+					parentID[label] = int(id)
+				}
+			}
+			return StartCVForests(api, numLabels, parentIdx, NopSink, func(cv []int32) engine.Step {
+				return engine.Done(out{colors: cv, parents: parentID})
+			})
 		}
-		cv := CVForests(api, numLabels, parentIdx, NopSink)
-		return out{colors: cv, parents: parentID}
 	}
-	res, err := engine.Run(g, prog, engine.Options{Seed: 1})
+	res, err := engine.RunSpec(g, engine.Spec{Step: prog}, engine.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ type edgeRequest struct {
 	Used []int32
 }
 
-// EdgeOutput is the per-vertex output of EdgeColoring: the colors this
+// EdgeOutput is the per-vertex output of EdgeColoringStep: the colors this
 // vertex assigned, as head, to edges keyed by the tail's vertex ID.
 type EdgeOutput struct {
 	Assigned map[int32]int32
@@ -77,98 +77,6 @@ func (st *edgeState) recordAssign(msgs []engine.Msg, head int32) {
 		if x, ok := m.AsInt(); ok && wire.Tag(x) == wire.TagAssign && m.From == head {
 			st.used[int32(wire.Payload(x))] = true
 		}
-	}
-}
-
-// EdgeColoring is the (2*Delta-1)-edge-coloring algorithm of Corollary
-// 8.6, with vertex-averaged complexity O(a + log* n). Every edge is
-// colored during the window of its tail (the endpoint joining an H-set
-// first): the tail requests a color from the head — alive by construction
-// — which assigns the smallest color free at both endpoints, so every
-// color is at most deg(u)+deg(v)-2 <= 2*Delta-2. Forest labels give each
-// tail one request per subphase and Cole-Vishkin forest colorings prevent
-// a vertex from requesting and assigning within the same subphase.
-func EdgeColoring(a int, eps float64) engine.Program {
-	return func(api *engine.API) any {
-		A := hpartition.ParamA(a, eps)
-		cvr := coloring.CVForestRounds(api.N())
-		tr := hpartition.NewTracker(api, a, eps)
-		st := &edgeState{used: map[int32]bool{}, assigned: map[int32]int32{}}
-		sink := func(ms []engine.Msg) { tr.Absorb(api, ms) }
-
-		for {
-			joined, _ := tr.Step(api)
-			if joined {
-				break
-			}
-			// Active window body: idle through settle+CV+intra, then serve
-			// the A inter-set subphases as head.
-			sink(api.Idle(1 + cvr + 6*A))
-			for j := 1; j <= A; j++ {
-				reqs := api.Next()
-				sink(reqs)
-				st.serveRequests(api, reqs)
-				sink(api.Next())
-			}
-		}
-
-		// Member window body.
-		sink(api.Next()) // settle
-		ids := api.NeighborIDs()
-		my := tr.HIndex
-		intraParent := make([]int, A+1) // label -> neighbor index (intra)
-		interOut := make([]int, A+1)    // label -> neighbor index (inter)
-		for j := range intraParent {
-			intraParent[j] = -1
-			interOut[j] = -1
-		}
-		label := 0
-		for k, h := range tr.NbrH {
-			switch {
-			case h == 0:
-				label++
-				interOut[label] = k
-			case h == my && int(ids[k]) > api.ID():
-				label++
-				intraParent[label] = k
-			}
-		}
-		if label > A {
-			panic(fmt.Sprintf("extend: vertex %d out-degree %d exceeds A=%d", api.ID(), label, A))
-		}
-		cv := coloring.CVForests(api, A, intraParent, sink)
-
-		// Intra-set subphases: (label j, CV color c).
-		for j := 1; j <= A; j++ {
-			for c := int32(0); c < 3; c++ {
-				mine := intraParent[j] >= 0 && cv[j] == c
-				if mine {
-					api.SendID(int(ids[intraParent[j]]), edgeRequest{Used: st.usedList()})
-				}
-				reqs := api.Next()
-				sink(reqs)
-				st.serveRequests(api, reqs)
-				msgs := api.Next()
-				sink(msgs)
-				if mine {
-					st.recordAssign(msgs, ids[intraParent[j]])
-				}
-			}
-		}
-		// Inter-set subphases: request from the still-active head.
-		for j := 1; j <= A; j++ {
-			mine := interOut[j] >= 0
-			if mine {
-				api.SendID(int(ids[interOut[j]]), edgeRequest{Used: st.usedList()})
-			}
-			sink(api.Next())
-			msgs := api.Next()
-			sink(msgs)
-			if mine {
-				st.recordAssign(msgs, ids[interOut[j]])
-			}
-		}
-		return EdgeOutput{Assigned: st.assigned}
 	}
 }
 

@@ -27,7 +27,6 @@ package extend
 import (
 	"sort"
 
-	"vavg/internal/coloring"
 	"vavg/internal/engine"
 	"vavg/internal/hpartition"
 )
@@ -56,46 +55,6 @@ func sameSetMembers(tr *hpartition.Tracker) []int {
 		}
 	}
 	return members
-}
-
-// classSweep runs numClasses one-round turns over the proper set-coloring
-// myClass of the member set. In its own turn the vertex calls act, which
-// may broadcast; every round's messages are passed to observe.
-func classSweep(api *engine.API, numClasses, myClass int, act func(), observe func([]engine.Msg)) {
-	for cls := 0; cls < numClasses; cls++ {
-		if cls == myClass {
-			act()
-		}
-		observe(api.Next())
-	}
-}
-
-// DeltaPlus1Window returns the iteration window width of the MIS and
-// (Delta+1)-coloring programs.
-func DeltaPlus1Window(n, a int, eps float64) int {
-	A := hpartition.ParamA(a, eps)
-	return 2 + coloring.DeltaPlus1Rounds(n, A) + A + 1
-}
-
-// DeltaPlus1 is the (Delta+1)-vertex-coloring of Corollary 8.3: each
-// vertex ends with a color in {0, ..., deg(v)}, so at most Delta+1 colors
-// are used, with vertex-averaged complexity O(a log a + log* n) — a
-// function of the arboricity, not of Delta (we substitute Linial+KW plus a
-// greedy class sweep for the Fraigniaud et al. list-coloring the paper
-// cites; see DESIGN.md). It is the list-coloring instance of the general
-// framework with the default lists {0..deg(v)}. The per-vertex output is
-// the final color (int).
-func DeltaPlus1(a int, eps float64) engine.Program {
-	return Framework(a, eps, listColorProblem{})
-}
-
-// MIS is the maximal-independent-set algorithm of Corollary 8.4: the
-// vertex-averaged complexity is O(a log a + log* n) and the per-vertex
-// output reports membership (bool). Each H-set is (A+1)-colored and its
-// color classes take turns joining the MIS unless dominated by an earlier
-// decision. It is the misProblem instance of the general framework.
-func MIS(a int, eps float64) engine.Program {
-	return Framework(a, eps, misProblem{})
 }
 
 const sweepKind = 3

@@ -25,7 +25,7 @@ var families = []struct {
 
 func TestDeltaPlus1Proper(t *testing.T) {
 	for _, c := range families {
-		res, err := engine.Run(c.g, DeltaPlus1(c.a, 2), engine.Options{Seed: 1, MaxRounds: 1 << 20})
+		res, err := engine.RunSpec(c.g, engine.Spec{Step: DeltaPlus1Step(c.a, 2)}, engine.Options{Seed: 1, MaxRounds: 1 << 20})
 		if err != nil {
 			t.Fatalf("%s: %v", c.g.Name, err)
 		}
@@ -44,7 +44,7 @@ func TestDeltaPlus1Proper(t *testing.T) {
 
 func TestMISValid(t *testing.T) {
 	for _, c := range families {
-		res, err := engine.Run(c.g, MIS(c.a, 2), engine.Options{Seed: 1, MaxRounds: 1 << 20})
+		res, err := engine.RunSpec(c.g, engine.Spec{Step: MISStep(c.a, 2)}, engine.Options{Seed: 1, MaxRounds: 1 << 20})
 		if err != nil {
 			t.Fatalf("%s: %v", c.g.Name, err)
 		}
@@ -56,7 +56,7 @@ func TestMISValid(t *testing.T) {
 
 func TestEdgeColoringValid(t *testing.T) {
 	for _, c := range families {
-		res, err := engine.Run(c.g, EdgeColoring(c.a, 2), engine.Options{Seed: 1, MaxRounds: 1 << 20})
+		res, err := engine.RunSpec(c.g, engine.Spec{Step: EdgeColoringStep(c.a, 2)}, engine.Options{Seed: 1, MaxRounds: 1 << 20})
 		if err != nil {
 			t.Fatalf("%s: %v", c.g.Name, err)
 		}
@@ -79,7 +79,7 @@ func TestEdgeColoringValid(t *testing.T) {
 
 func TestMaximalMatchingValid(t *testing.T) {
 	for _, c := range families {
-		res, err := engine.Run(c.g, MaximalMatching(c.a, 2), engine.Options{Seed: 1, MaxRounds: 1 << 20})
+		res, err := engine.RunSpec(c.g, engine.Spec{Step: MaximalMatchingStep(c.a, 2)}, engine.Options{Seed: 1, MaxRounds: 1 << 20})
 		if err != nil {
 			t.Fatalf("%s: %v", c.g.Name, err)
 		}
@@ -93,11 +93,11 @@ func TestMaximalMatchingValid(t *testing.T) {
 // on star forests (constant arboricity, growing Delta), the vertex-averaged
 // complexity of all four algorithms must not grow with Delta.
 func TestVertexAveragedIndependentOfDelta(t *testing.T) {
-	progs := map[string]func(int, float64) engine.Program{
-		"deltaplus1": DeltaPlus1,
-		"mis":        MIS,
-		"edge":       EdgeColoring,
-		"matching":   MaximalMatching,
+	progs := map[string]func(int, float64) engine.StepProgram{
+		"deltaplus1": DeltaPlus1Step,
+		"mis":        MISStep,
+		"edge":       EdgeColoringStep,
+		"matching":   MaximalMatchingStep,
 	}
 	names := make([]string, 0, len(progs))
 	for n := range progs {
@@ -109,7 +109,7 @@ func TestVertexAveragedIndependentOfDelta(t *testing.T) {
 		var avgs []float64
 		for _, k := range []int{4, 16, 64} {
 			g := graph.StarForest(1024, k)
-			res, err := engine.Run(g, mk(2, 2), engine.Options{Seed: 1, MaxRounds: 1 << 20})
+			res, err := engine.RunSpec(g, engine.Spec{Step: mk(2, 2)}, engine.Options{Seed: 1, MaxRounds: 1 << 20})
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", name, k, err)
 			}
@@ -125,14 +125,14 @@ func TestExtendPropertyRandom(t *testing.T) {
 	f := func(seed int64, aRaw uint8) bool {
 		a := 1 + int(aRaw%3)
 		g := graph.ForestUnion(90, a, seed)
-		res, err := engine.Run(g, MIS(a, 1), engine.Options{Seed: seed, MaxRounds: 1 << 20})
+		res, err := engine.RunSpec(g, engine.Spec{Step: MISStep(a, 1)}, engine.Options{Seed: seed, MaxRounds: 1 << 20})
 		if err != nil {
 			return false
 		}
 		if check.MIS(g, MISSet(res.Output)) != nil {
 			return false
 		}
-		res2, err := engine.Run(g, MaximalMatching(a, 1), engine.Options{Seed: seed, MaxRounds: 1 << 20})
+		res2, err := engine.RunSpec(g, engine.Spec{Step: MaximalMatchingStep(a, 1)}, engine.Options{Seed: seed, MaxRounds: 1 << 20})
 		if err != nil {
 			return false
 		}
@@ -147,7 +147,7 @@ func TestEdgeColoringProperty(t *testing.T) {
 	f := func(seed int64, aRaw uint8) bool {
 		a := 1 + int(aRaw%3)
 		g := graph.ForestUnion(80, a, seed)
-		res, err := engine.Run(g, EdgeColoring(a, 1), engine.Options{Seed: seed, MaxRounds: 1 << 20})
+		res, err := engine.RunSpec(g, engine.Spec{Step: EdgeColoringStep(a, 1)}, engine.Options{Seed: seed, MaxRounds: 1 << 20})
 		if err != nil {
 			return false
 		}
@@ -168,19 +168,19 @@ func TestExtendDeterministicAcrossSeeds(t *testing.T) {
 	g := graph.ForestUnion(150, 2, 8)
 	for _, c := range []struct {
 		name string
-		mk   engine.Program
+		mk   engine.StepProgram
 	}{
-		{"mis", MIS(2, 2)},
-		{"dp1", DeltaPlus1(2, 2)},
-		{"edge", EdgeColoring(2, 2)},
-		{"matching", MaximalMatching(2, 2)},
+		{"mis", MISStep(2, 2)},
+		{"dp1", DeltaPlus1Step(2, 2)},
+		{"edge", EdgeColoringStep(2, 2)},
+		{"matching", MaximalMatchingStep(2, 2)},
 	} {
 		name, mk := c.name, c.mk
-		r1, err := engine.Run(g, mk, engine.Options{Seed: 1, MaxRounds: 1 << 20})
+		r1, err := engine.RunSpec(g, engine.Spec{Step: mk}, engine.Options{Seed: 1, MaxRounds: 1 << 20})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		r2, err := engine.Run(g, mk, engine.Options{Seed: 7, MaxRounds: 1 << 20})
+		r2, err := engine.RunSpec(g, engine.Spec{Step: mk}, engine.Options{Seed: 7, MaxRounds: 1 << 20})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -210,7 +210,7 @@ func outputsEqual(a, b any) bool {
 
 func TestEdgeColoringOnHypercube(t *testing.T) {
 	g := graph.Hypercube(5)
-	res, err := engine.Run(g, EdgeColoring(6, 2), engine.Options{Seed: 1, MaxRounds: 1 << 20})
+	res, err := engine.RunSpec(g, engine.Spec{Step: EdgeColoringStep(6, 2)}, engine.Options{Seed: 1, MaxRounds: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,11 +11,11 @@ import (
 
 func TestMISFrameworkMatchesDirectImplementation(t *testing.T) {
 	g := graph.ForestUnion(300, 3, 5)
-	direct, err := engine.Run(g, MIS(3, 2), engine.Options{Seed: 4, MaxRounds: 1 << 20})
+	direct, err := engine.RunSpec(g, engine.Spec{Step: MISStep(3, 2)}, engine.Options{Seed: 4, MaxRounds: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	generic, err := engine.Run(g, MISFramework(3, 2), engine.Options{Seed: 4, MaxRounds: 1 << 20})
+	generic, err := engine.RunSpec(g, engine.Spec{Step: FrameworkStep(3, 2, misProblem{})}, engine.Options{Seed: 4, MaxRounds: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestListColoringArbitraryLists(t *testing.T) {
 		}
 		return out
 	}
-	res, err := engine.Run(g, ListColoring(2, 2, list), engine.Options{Seed: 1, MaxRounds: 1 << 20})
+	res, err := engine.RunSpec(g, engine.Spec{Step: ListColoringStep(2, 2, list)}, engine.Options{Seed: 1, MaxRounds: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestListColoringDegPlusOneIsDeltaPlus1(t *testing.T) {
 		}
 		return out
 	}
-	res, err := engine.Run(g, ListColoring(2, 2, list), engine.Options{Seed: 2, MaxRounds: 1 << 20})
+	res, err := engine.RunSpec(g, engine.Spec{Step: ListColoringStep(2, 2, list)}, engine.Options{Seed: 2, MaxRounds: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

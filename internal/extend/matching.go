@@ -1,11 +1,7 @@
 package extend
 
 import (
-	"fmt"
-
-	"vavg/internal/coloring"
 	"vavg/internal/engine"
-	"vavg/internal/hpartition"
 	"vavg/internal/wire"
 )
 
@@ -19,12 +15,6 @@ var (
 func hasTag(m engine.Msg, tag uint8) bool {
 	x, ok := m.AsInt()
 	return ok && wire.Tag(x) == tag
-}
-
-// MaximalMatchingWindow returns the iteration window width of the
-// matching program (same phase structure as edge coloring).
-func MaximalMatchingWindow(n, a int, eps float64) int {
-	return EdgeColoringWindow(n, a, eps)
 }
 
 // matchState tracks whether this vertex is matched and to whom.
@@ -61,97 +51,7 @@ func (st *matchState) recordAccept(msgs []engine.Msg, head int32) {
 	}
 }
 
-// MaximalMatching is the algorithm of Corollary 8.8: a maximal matching
-// with vertex-averaged complexity O(a + log* n). Every edge is resolved
-// during the window of its tail: an unmatched tail proposes along its
-// single label-j edge of the current subphase; an unmatched head accepts
-// exactly one proposal. Cole-Vishkin forest colorings keep a vertex from
-// proposing and accepting in the same subphase, so no vertex is ever
-// matched twice. The per-vertex output is the partner's ID (int32), or -1.
-func MaximalMatching(a int, eps float64) engine.Program {
-	return func(api *engine.API) any {
-		A := hpartition.ParamA(a, eps)
-		cvr := coloring.CVForestRounds(api.N())
-		tr := hpartition.NewTracker(api, a, eps)
-		st := &matchState{partner: -1}
-		sink := func(ms []engine.Msg) { tr.Absorb(api, ms) }
-
-		for {
-			joined, _ := tr.Step(api)
-			if joined {
-				break
-			}
-			sink(api.Idle(1 + cvr + 6*A))
-			for j := 1; j <= A; j++ {
-				reqs := api.Next()
-				sink(reqs)
-				st.serveProposals(api, reqs)
-				sink(api.Next())
-			}
-		}
-
-		sink(api.Next()) // settle
-		ids := api.NeighborIDs()
-		my := tr.HIndex
-		intraParent := make([]int, A+1)
-		interOut := make([]int, A+1)
-		for j := range intraParent {
-			intraParent[j] = -1
-			interOut[j] = -1
-		}
-		label := 0
-		for k, h := range tr.NbrH {
-			switch {
-			case h == 0:
-				label++
-				interOut[label] = k
-			case h == my && int(ids[k]) > api.ID():
-				label++
-				intraParent[label] = k
-			}
-		}
-		if label > A {
-			panic(fmt.Sprintf("extend: vertex %d out-degree %d exceeds A=%d", api.ID(), label, A))
-		}
-		cv := coloring.CVForests(api, A, intraParent, sink)
-
-		for j := 1; j <= A; j++ {
-			for c := int32(0); c < 3; c++ {
-				mine := intraParent[j] >= 0 && cv[j] == c && st.partner < 0
-				head := int32(-1)
-				if mine {
-					head = ids[intraParent[j]]
-					api.SendIDInt(int(head), proposeMsg)
-				}
-				reqs := api.Next()
-				sink(reqs)
-				st.serveProposals(api, reqs)
-				msgs := api.Next()
-				sink(msgs)
-				if mine {
-					st.recordAccept(msgs, head)
-				}
-			}
-		}
-		for j := 1; j <= A; j++ {
-			mine := interOut[j] >= 0 && st.partner < 0
-			head := int32(-1)
-			if mine {
-				head = ids[interOut[j]]
-				api.SendIDInt(int(head), proposeMsg)
-			}
-			sink(api.Next())
-			msgs := api.Next()
-			sink(msgs)
-			if mine {
-				st.recordAccept(msgs, head)
-			}
-		}
-		return st.partner
-	}
-}
-
-// Matching converts the outputs of a MaximalMatching run to a partner
+// Matching converts the outputs of a MaximalMatchingStep run to a partner
 // slice suitable for check.MaximalMatching.
 func Matching(outputs []any) []int32 {
 	m := make([]int32, len(outputs))

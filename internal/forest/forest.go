@@ -33,7 +33,7 @@ type Output struct {
 
 // Decomp is the per-vertex composable state: a partition Tracker plus the
 // orientation computed at settle time. Composed algorithms embed it and
-// call JoinAndSettle (or drive StepJoin/Settle, or Start, themselves).
+// drive it with Start (or StartWC for the worst-case schedule).
 type Decomp struct {
 	Tr hpartition.Tracker
 	// OutIdx lists neighbor indices of outgoing edges (the "parents" of
@@ -52,22 +52,6 @@ type Decomp struct {
 // Decomp, so both come from one allocation.
 func NewDecomp(api *engine.API, a int, eps float64) *Decomp {
 	return &Decomp{Tr: hpartition.MakeTracker(api, a, eps)}
-}
-
-// StepJoin runs one partition round; see hpartition.Tracker.Step.
-func (d *Decomp) StepJoin(api *engine.API) (joined bool, msgs []engine.Msg) {
-	return d.Tr.Step(api)
-}
-
-// Settle runs the settle round that follows joining: it absorbs the
-// same-round Join announcements and computes this vertex's outgoing edges
-// and labels. Must be called exactly once, in the round right after the
-// vertex joined. Returns the settle-round messages for further processing.
-func (d *Decomp) Settle(api *engine.API) []engine.Msg {
-	msgs := api.Next()
-	d.Tr.Absorb(api, msgs)
-	d.computeOrientation(api)
-	return msgs
 }
 
 // computeOrientation collects the outgoing edges into an exactly sized
@@ -128,19 +112,6 @@ func (d *Decomp) Parents(api *engine.API) []int32 {
 	return ps
 }
 
-// JoinAndSettle runs partition rounds until the vertex joins, then the
-// settle round. It returns the number of partition rounds used.
-func (d *Decomp) JoinAndSettle(api *engine.API) int {
-	for {
-		joined, _ := d.StepJoin(api)
-		if joined {
-			break
-		}
-	}
-	d.Settle(api)
-	return d.Tr.RoundsDone()
-}
-
 // Output assembles the per-vertex Output of the decomposition.
 func (d *Decomp) Output(api *engine.API) Output {
 	ids := api.NeighborIDs()
@@ -151,21 +122,8 @@ func (d *Decomp) Output(api *engine.API) Output {
 	return Output{H: d.Tr.HIndex, Labels: labels}
 }
 
-// Program is standalone Procedure Parallelized-Forest-Decomposition: each
-// vertex joins an H-set, settles, and terminates with its Output; its
-// final broadcast carries the labels to the edge heads. A vertex joining
-// in partition round i terminates in round i+2, so the vertex-averaged
-// complexity is O(1) (Theorem 7.1).
-func Program(a int, eps float64) engine.Program {
-	return func(api *engine.API) any {
-		d := NewDecomp(api, a, eps)
-		d.JoinAndSettle(api)
-		return d.Output(api)
-	}
-}
-
 // Collect reconstructs the global orientation and labeling from the
-// per-vertex outputs of a Program run, for validation: every edge is
+// per-vertex outputs of a StepProgram run, for validation: every edge is
 // oriented away from the vertex that labeled it.
 func Collect(g *graph.Graph, outputs []any) (check.Orientation, map[graph.Edge]int, error) {
 	orient := make(check.Orientation, g.M())
@@ -192,13 +150,4 @@ func Collect(g *graph.Graph, outputs []any) (check.Orientation, map[graph.Edge]i
 		}
 	}
 	return orient, labels, nil
-}
-
-// HIndexes extracts the per-vertex H-indices from a Program run.
-func HIndexes(outputs []any) []int {
-	h := make([]int, len(outputs))
-	for v, o := range outputs {
-		h[v] = int(o.(Output).H)
-	}
-	return h
 }

@@ -12,7 +12,7 @@ import (
 
 func runFD(t *testing.T, g *graph.Graph, a int, eps float64) (*engine.Result, check.Orientation, map[graph.Edge]int) {
 	t.Helper()
-	res, err := engine.Run(g, Program(a, eps), engine.Options{Seed: 1})
+	res, err := engine.RunSpec(g, engine.Spec{Step: StepProgram(a, eps)}, engine.Options{Seed: 1})
 	if err != nil {
 		t.Fatalf("forest decomposition on %s: %v", g.Name, err)
 	}
@@ -49,7 +49,7 @@ func TestDecompositionValidOnFamilies(t *testing.T) {
 			t.Errorf("%s: out-degree %d exceeds A=%d", c.g.Name, outDeg, A)
 		}
 		// Every vertex terminates two rounds after joining.
-		h := HIndexes(res.Output)
+		h := hIndexes(res.Output)
 		if err := check.HPartition(c.g, h, A); err != nil {
 			t.Errorf("%s: %v", c.g.Name, err)
 		}
@@ -91,7 +91,7 @@ func TestEveryEdgeLabeledExactlyOnce(t *testing.T) {
 	f := func(seed int64, aRaw uint8) bool {
 		a := 1 + int(aRaw%3)
 		g := graph.ForestUnion(120, a, seed)
-		res, err := engine.Run(g, Program(a, 1), engine.Options{Seed: seed})
+		res, err := engine.RunSpec(g, engine.Spec{Step: StepProgram(a, 1)}, engine.Options{Seed: seed})
 		if err != nil {
 			return false
 		}
@@ -109,24 +109,36 @@ func TestEveryEdgeLabeledExactlyOnce(t *testing.T) {
 
 func TestDecompOutHelper(t *testing.T) {
 	g := graph.Path(4)
-	prog := func(api *engine.API) any {
-		d := NewDecomp(api, 1, 2)
-		d.JoinAndSettle(api)
-		labels := 0
-		for k := 0; k < api.Degree(); k++ {
-			if _, ok := d.Out(k); ok {
-				labels++
-			}
+	prog := func(api *engine.API) engine.StepFn {
+		return func(api *engine.API, _ []engine.Msg) engine.Step {
+			d := NewDecomp(api, 1, 2)
+			return d.Start(api, func() engine.Step {
+				labels := 0
+				for k := 0; k < api.Degree(); k++ {
+					if _, ok := d.Out(k); ok {
+						labels++
+					}
+				}
+				if labels != len(d.OutIdx) {
+					t.Errorf("Out() disagrees with OutIdx")
+				}
+				if len(d.Parents(api)) != len(d.OutIdx) {
+					t.Errorf("Parents length mismatch")
+				}
+				return engine.Done(d.Output(api))
+			})
 		}
-		if labels != len(d.OutIdx) {
-			t.Errorf("Out() disagrees with OutIdx")
-		}
-		if len(d.Parents(api)) != len(d.OutIdx) {
-			t.Errorf("Parents length mismatch")
-		}
-		return d.Output(api)
 	}
-	if _, err := engine.Run(g, prog, engine.Options{}); err != nil {
+	if _, err := engine.RunSpec(g, engine.Spec{Step: prog}, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// hIndexes extracts the per-vertex H-indices from a decomposition run.
+func hIndexes(outputs []any) []int {
+	h := make([]int, len(outputs))
+	for v, o := range outputs {
+		h[v] = int(o.(Output).H)
+	}
+	return h
 }

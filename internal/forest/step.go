@@ -2,9 +2,10 @@ package forest
 
 import "vavg/internal/engine"
 
-// Step (state-machine) forms of the decomposition. Each turn reproduces
-// one round of the blocking form, so the two forms are byte-identical on
-// every backend.
+// The decomposition machines. A vertex takes one partition round per
+// turn until it joins an H-set; the round after the join delivers the
+// same-round joiners' announcements, and in the settle round that follows
+// the vertex orients and labels its edges.
 
 // Turn kinds of the Start machine.
 const (
@@ -13,8 +14,8 @@ const (
 	phaseSettle2               // the settle round: orient, then done
 )
 
-// Start drives the decomposition as a step sub-machine, mirroring
-// JoinAndSettle: the entry turn takes the first partition round, every
+// Start drives the decomposition as a sub-machine: the entry turn takes
+// the first partition round, every
 // following turn absorbs and takes another until the vertex joins, and the
 // two post-join rounds (the join round's tail absorb, then the settle
 // round) end with the orientation computed. done runs in the settle turn.
@@ -64,8 +65,8 @@ func (d *Decomp) StartWC(api *engine.API, ell int, done func() engine.Step) engi
 	join = func(api *engine.API, inbox []engine.Msg) engine.Step {
 		d.Tr.Absorb(api, inbox)
 		if d.Tr.HIndex != 0 {
-			// The blocking form idles to round ell and settles one round
-			// later; a single sleep accumulates the same absorbs.
+			// Idle to round ell and settle one round later; a single
+			// sleep accumulates every absorb of the wait.
 			k := ell + 1 - api.Round()
 			if k < 1 {
 				k = 1
@@ -79,8 +80,12 @@ func (d *Decomp) StartWC(api *engine.API, ell int, done func() engine.Step) engi
 	return engine.Continue(join)
 }
 
-// StepProgram is the step form of Program. Every vertex shares one entry
-// StepFn; its per-vertex state is created in the entry turn.
+// StepProgram is standalone Procedure Parallelized-Forest-Decomposition:
+// each vertex joins an H-set, settles, and terminates with its Output;
+// its final broadcast carries the labels to the edge heads. A vertex
+// joining in partition round i terminates in round i+2, so the
+// vertex-averaged complexity is O(1) (Theorem 7.1). Every vertex shares
+// one entry StepFn; its per-vertex state is created in the entry turn.
 func StepProgram(a int, eps float64) engine.StepProgram {
 	first := func(api *engine.API, _ []engine.Msg) engine.Step {
 		d := NewDecomp(api, a, eps)

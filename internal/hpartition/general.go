@@ -1,10 +1,6 @@
 package hpartition
 
-import (
-	"math"
-
-	"vavg/internal/engine"
-)
+import "math"
 
 // GeneralJoin is the output of the unknown-arboricity partition: the
 // H-index plus the threshold phase under which the vertex joined.
@@ -27,52 +23,4 @@ func GeneralThreshold(i int, eps float64) int {
 // O(sum_{i <= log a} i) = O(log^2 a) rounds before its clearing phase.
 func generalPhaseLen(i int, eps float64) int {
 	return int(math.Ceil(2/eps*float64(i))) + 1
-}
-
-// GeneralProgram is a vertex-averaged variant of Procedure
-// General-Partition from [8] (referenced in Section 6.1 for graphs whose
-// arboricity is unknown): thresholds double across phases, so no a priori
-// arboricity bound is needed. A vertex joining under the phase-i threshold
-// has at most (2+eps)*2^i <= 4(2+eps)*a neighbors in later H-sets, so the
-// output is an H-partition with parameter O(a), and the vertex-averaged
-// complexity is O(log^2 a) — independent of n — against the classical
-// Theta(log n) worst case.
-func GeneralProgram(eps float64) engine.Program {
-	if eps <= 0 || eps > 2 {
-		panic("hpartition: eps must be in (0,2]")
-	}
-	return func(api *engine.API) any {
-		activeDeg := api.Degree()
-		seen := make(map[int32]bool, api.Degree())
-		index := int32(0)
-		for phase := 1; ; phase++ {
-			threshold := GeneralThreshold(phase, eps)
-			for r := 0; r < generalPhaseLen(phase, eps); r++ {
-				index++
-				if activeDeg <= threshold {
-					return GeneralJoin{Index: index, Phase: int32(phase)}
-				}
-				for _, m := range api.Next() {
-					if _, ok := m.Data.(engine.Final); ok && !seen[m.From] {
-						seen[m.From] = true
-						activeDeg--
-					}
-				}
-			}
-		}
-	}
-}
-
-// GeneralHIndexes extracts per-vertex H-indices and the maximum join
-// threshold from a GeneralProgram run.
-func GeneralHIndexes(outputs []any, eps float64) (h []int, maxThreshold int) {
-	h = make([]int, len(outputs))
-	for v, o := range outputs {
-		j := o.(GeneralJoin)
-		h[v] = int(j.Index)
-		if t := GeneralThreshold(int(j.Phase), eps); t > maxThreshold {
-			maxThreshold = t
-		}
-	}
-	return h, maxThreshold
 }

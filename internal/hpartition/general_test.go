@@ -20,11 +20,11 @@ func TestGeneralPartitionUnknownArboricity(t *testing.T) {
 		{graph.TriangulatedGrid(12, 12), 3},
 	}
 	for _, c := range cases {
-		res, err := engine.Run(c.g, GeneralProgram(2), engine.Options{Seed: 1})
+		res, err := engine.RunSpec(c.g, engine.Spec{Step: GeneralStepProgram(2)}, engine.Options{Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", c.g.Name, err)
 		}
-		h, maxThr := GeneralHIndexes(res.Output, 2)
+		h, maxThr := generalHIndexes(res.Output, 2)
 		if err := check.HPartition(c.g, h, maxThr); err != nil {
 			t.Errorf("%s: %v", c.g.Name, err)
 		}
@@ -39,7 +39,7 @@ func TestGeneralPartitionVertexAveragedIndependentOfN(t *testing.T) {
 	var avgs []float64
 	for _, n := range []int{1000, 8000} {
 		g := graph.ForestUnion(n, 3, 77)
-		res, err := engine.Run(g, GeneralProgram(2), engine.Options{Seed: 1})
+		res, err := engine.RunSpec(g, engine.Spec{Step: GeneralStepProgram(2)}, engine.Options{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,4 +54,18 @@ func TestGeneralThresholdDoubles(t *testing.T) {
 	if GeneralThreshold(1, 2) != 8 || GeneralThreshold(3, 2) != 32 {
 		t.Errorf("thresholds wrong: %d %d", GeneralThreshold(1, 2), GeneralThreshold(3, 2))
 	}
+}
+
+// generalHIndexes extracts per-vertex H-indices and the maximum join
+// threshold from a general-partition run.
+func generalHIndexes(outputs []any, eps float64) (h []int, maxThreshold int) {
+	h = make([]int, len(outputs))
+	for v, o := range outputs {
+		j := o.(GeneralJoin)
+		h[v] = int(j.Index)
+		if t := GeneralThreshold(int(j.Phase), eps); t > maxThreshold {
+			maxThreshold = t
+		}
+	}
+	return h, maxThreshold
 }

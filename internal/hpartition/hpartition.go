@@ -11,10 +11,11 @@
 // complexity is O(1) (Theorem 6.3) even though the worst case is
 // Theta(log n).
 //
-// The package exposes the procedure in two forms: Program, the standalone
-// algorithm whose per-vertex output is its H-index, and Tracker, a
-// per-vertex state machine that composed algorithms (Sections 6.2-9) drive
-// one partition round at a time, interleaved with their own work.
+// The package exposes the procedure in two shapes: StepProgram, the
+// standalone algorithm whose per-vertex output is its H-index, and
+// Tracker, per-vertex partition state that composed algorithms (Sections
+// 6.2-9) advance one partition round per turn, interleaved with their own
+// work.
 package hpartition
 
 import (
@@ -58,10 +59,11 @@ func EllBound(n int, eps float64) int {
 }
 
 // Join is the message a vertex broadcasts in the round it joins an H-set.
-// Steady-state joins travel on the engine's integer fast lane as
-// wire.TagJoin; the struct form only rides the terminating Final broadcast
-// of standalone Program runs. It is a wire-codable payload by construction
-// (payloadwire enforces this): one plain int32, nothing address-shaped.
+// Joins inside composed algorithms travel on the engine's integer fast
+// lane as wire.TagJoin; the struct form is the output of standalone
+// StepProgram runs, so it rides the terminating Final broadcast. It is a
+// wire-codable payload by construction (payloadwire enforces this): one
+// plain int32, nothing address-shaped.
 type Join struct {
 	// Index is the H-set the sender joined (1-based).
 	Index int32
@@ -99,8 +101,8 @@ func MakeTracker(api *engine.API, a int, eps float64) Tracker {
 
 // Absorb processes incoming messages that are relevant to the partition:
 // Join announcements and Final terminations both mark the sender inactive.
-// Composed algorithms must call Absorb (or Step, which calls it) on every
-// batch of received messages so that active-degree counts stay correct.
+// Composed algorithms must call Absorb on every turn's inbox so that
+// active-degree counts stay correct.
 func (t *Tracker) Absorb(api *engine.API, msgs []engine.Msg) {
 	for _, m := range msgs {
 		var idx int32
@@ -147,18 +149,11 @@ func nbrIndex(api *engine.API, from int32) int {
 	return lo
 }
 
-// Eligible reports whether the vertex would join the H-set in the next
-// partition round (it is active and has at most A active neighbors).
-func (t *Tracker) Eligible() bool {
-	return t.HIndex == 0 && t.activeDeg <= t.A
-}
-
 // Advance executes the decision half of one partition round: if the
 // vertex is eligible it joins H-set number (t.round+1), broadcasting the
-// join on the integer fast lane, and Advance reports true. Step-form
-// programs call it once per turn, after absorbing the turn's inbox;
-// blocking callers use Step, which also crosses the engine round. It must
-// not be called after the vertex has joined.
+// join on the integer fast lane, and Advance reports true. Callers take
+// one partition round per turn: absorb the turn's inbox, then Advance. It
+// must not be called after the vertex has joined.
 func (t *Tracker) Advance(api *engine.API) bool {
 	if t.HIndex != 0 {
 		panic("hpartition: partition round after joining")
@@ -170,48 +165,4 @@ func (t *Tracker) Advance(api *engine.API) bool {
 		return true
 	}
 	return false
-}
-
-// Step executes one round of Procedure Partition: if the vertex is
-// eligible it joins H-set number (t.round+1), broadcasting the join. It
-// then advances one engine round and absorbs the incoming messages. It
-// returns whether the vertex joined in this round and the full message
-// batch (already absorbed) for further processing by the caller. Step
-// must not be called after the vertex has joined.
-func (t *Tracker) Step(api *engine.API) (joined bool, msgs []engine.Msg) {
-	joined = t.Advance(api)
-	msgs = api.Next()
-	t.Absorb(api, msgs)
-	return joined, msgs
-}
-
-// RoundsDone returns how many partition rounds this vertex has executed.
-func (t *Tracker) RoundsDone() int { return int(t.round) }
-
-// Program is standalone Procedure Partition: each vertex runs partition
-// rounds until it joins an H-set and terminates with its H-index (an int)
-// as output. Its Join announcement is carried by the engine's Final
-// broadcast, so a vertex that joins in round i terminates in round i,
-// matching the paper's accounting exactly.
-func Program(a int, eps float64) engine.Program {
-	return func(api *engine.API) any {
-		t := NewTracker(api, a, eps)
-		for {
-			t.round++
-			if t.activeDeg <= t.A {
-				// Terminating output doubles as the Join announcement.
-				return Join{Index: t.round}
-			}
-			t.Absorb(api, api.Next())
-		}
-	}
-}
-
-// HIndexes extracts the per-vertex H-indices from a standalone Program run.
-func HIndexes(output []any) []int {
-	h := make([]int, len(output))
-	for v, o := range output {
-		h[v] = int(o.(Join).Index)
-	}
-	return h
 }

@@ -12,11 +12,11 @@ import (
 
 func runPartition(t *testing.T, g *graph.Graph, a int, eps float64) (*engine.Result, []int) {
 	t.Helper()
-	res, err := engine.Run(g, Program(a, eps), engine.Options{Seed: 1})
+	res, err := engine.RunSpec(g, engine.Spec{Step: StepProgram(a, eps)}, engine.Options{Seed: 1})
 	if err != nil {
 		t.Fatalf("partition on %s: %v", g.Name, err)
 	}
-	return res, HIndexes(res.Output)
+	return res, hIndexes(res.Output)
 }
 
 func TestPartitionInvariantOnFamilies(t *testing.T) {
@@ -107,25 +107,37 @@ func TestTrackerComposedUse(t *testing.T) {
 		h       int32
 		sameSet int
 	}
-	prog := func(api *engine.API) any {
+	prog := func(api *engine.API) engine.StepFn {
 		tr := NewTracker(api, 2, 1)
-		for {
-			joined, _ := tr.Step(api)
-			if joined {
-				break
+		// Settle turn: same-round joiners' announcements have arrived.
+		settle := func(api *engine.API, inbox []engine.Msg) engine.Step {
+			tr.Absorb(api, inbox)
+			same := 0
+			for _, h := range tr.NbrH {
+				if h == tr.HIndex {
+					same++
+				}
 			}
+			return engine.Done(out{tr.HIndex, same})
 		}
-		// Settle round: same-round joiners' announcements arrive now.
-		tr.Absorb(api, api.Next())
-		same := 0
-		for _, h := range tr.NbrH {
-			if h == tr.HIndex {
-				same++
+		joinTail := func(api *engine.API, inbox []engine.Msg) engine.Step {
+			tr.Absorb(api, inbox)
+			return engine.Continue(settle)
+		}
+		var part engine.StepFn
+		advance := func(api *engine.API) engine.Step {
+			if tr.Advance(api) {
+				return engine.Continue(joinTail)
 			}
+			return engine.Continue(part)
 		}
-		return out{tr.HIndex, same}
+		part = func(api *engine.API, inbox []engine.Msg) engine.Step {
+			tr.Absorb(api, inbox)
+			return advance(api)
+		}
+		return func(api *engine.API, _ []engine.Msg) engine.Step { return advance(api) }
 	}
-	res, err := engine.Run(g, prog, engine.Options{Seed: 2})
+	res, err := engine.RunSpec(g, engine.Spec{Step: prog}, engine.Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,13 +172,22 @@ func TestPartitionPropertyRandomGraphs(t *testing.T) {
 	f := func(seed int64, aRaw uint8) bool {
 		a := 1 + int(aRaw%4)
 		g := graph.ForestUnion(150, a, seed)
-		res, err := engine.Run(g, Program(a, 1), engine.Options{Seed: seed})
+		res, err := engine.RunSpec(g, engine.Spec{Step: StepProgram(a, 1)}, engine.Options{Seed: seed})
 		if err != nil {
 			return false
 		}
-		return check.HPartition(g, HIndexes(res.Output), ParamA(a, 1)) == nil
+		return check.HPartition(g, hIndexes(res.Output), ParamA(a, 1)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
+}
+
+// hIndexes extracts the per-vertex H-indices from a partition run.
+func hIndexes(output []any) []int {
+	h := make([]int, len(output))
+	for v, o := range output {
+		h[v] = int(o.(Join).Index)
+	}
+	return h
 }

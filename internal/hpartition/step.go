@@ -4,13 +4,15 @@ import (
 	"vavg/internal/engine"
 )
 
-// Step (state-machine) forms of the partition programs. Each turn is one
-// round of the blocking form: absorb the messages delivered since the
-// previous turn, then take the same join decision the blocking loop body
-// takes — so the step and goroutine executions are byte-identical.
+// The partition programs. Each turn is one partition round: absorb the
+// Join and Final announcements delivered since the previous turn, then
+// join the current H-set if at most A neighbors are still active.
 
-// StepProgram is the step form of Program: standalone Procedure Partition
-// with the Join announcement carried by the engine's Final broadcast.
+// StepProgram is standalone Procedure Partition: each vertex runs
+// partition rounds until it joins an H-set and terminates with its Join
+// (its H-index) as output. The Join announcement is carried by the
+// engine's Final broadcast, so a vertex that joins in round i terminates
+// in round i, matching the paper's accounting exactly.
 func StepProgram(a int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
 		t := NewTracker(api, a, eps)
@@ -28,8 +30,14 @@ func StepProgram(a int, eps float64) engine.StepProgram {
 	}
 }
 
-// GeneralStepProgram is the step form of GeneralProgram: the
-// unknown-arboricity partition with doubling thresholds.
+// GeneralStepProgram is a vertex-averaged variant of Procedure
+// General-Partition from [8] (referenced in Section 6.1 for graphs whose
+// arboricity is unknown): thresholds double across phases, so no a priori
+// arboricity bound is needed. A vertex joining under the phase-i threshold
+// has at most (2+eps)*2^i <= 4(2+eps)*a neighbors in later H-sets, so the
+// output is an H-partition with parameter O(a), and the vertex-averaged
+// complexity is O(log^2 a) — independent of n — against the classical
+// Theta(log n) worst case. Each vertex outputs its GeneralJoin.
 func GeneralStepProgram(eps float64) engine.StepProgram {
 	if eps <= 0 || eps > 2 {
 		panic("hpartition: eps must be in (0,2]")

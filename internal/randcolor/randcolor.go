@@ -15,52 +15,8 @@ package randcolor
 import (
 	"math"
 
-	"vavg/internal/engine"
 	"vavg/internal/hpartition"
-	"vavg/internal/wire"
 )
-
-// Tentative candidate colors (randomly drawn palette offsets) travel on
-// the fast lane as wire.TagTent; ALogLog interleaves them with partition
-// joins on the same edges, which the tag keeps apart.
-
-// randColorLoop runs the Luby-style protocol over palette offsets
-// [0, size). forbidden holds offsets owned by finished rivals; extra is
-// invoked with every round's messages and must keep forbidden up to date
-// (including rival Final announcements). rival says whether tentatives
-// from the given neighbor index compete on this palette. The returned
-// offset is proper against all rivals.
-func randColorLoop(api *engine.API, size int, forbidden map[int32]bool,
-	rival func(nbrIdx int) bool, extra func([]engine.Msg)) int32 {
-	for {
-		var cand int32 = -1
-		if api.Rand().Intn(2) == 1 {
-			free := make([]int32, 0, size)
-			for c := int32(0); c < int32(size); c++ {
-				if !forbidden[c] {
-					free = append(free, c)
-				}
-			}
-			if len(free) == 0 {
-				panic("randcolor: palette exhausted (invariant violated)")
-			}
-			cand = free[api.Rand().Intn(len(free))]
-			api.BroadcastInt(wire.Pack(wire.TagTent, int64(cand)))
-		}
-		msgs := api.Next()
-		extra(msgs)
-		conflict := false
-		for _, m := range msgs {
-			if x, ok := m.AsInt(); ok && wire.Tag(x) == wire.TagTent &&
-				int32(wire.Payload(x)) == cand && rival(api.NeighborIndex(m.From)) {
-				conflict = true
-			}
-		}
-		if cand >= 0 && !conflict && !forbidden[cand] {
-			return cand
-		}
-	}
-}
 
 // finalColor extracts a flat color from a Final payload.
 func finalColor(out any) (int32, bool) {
@@ -68,28 +24,6 @@ func finalColor(out any) (int32, bool) {
 		return int32(c), true
 	}
 	return 0, false
-}
-
-// DeltaPlus1 is Procedure Rand-Delta-Plus1 (Section 9.2): each vertex
-// colors itself from {0, ..., deg(v)}, yielding a (Delta+1)-coloring of
-// the input graph with O(1) vertex-averaged complexity w.h.p. The
-// per-vertex output is its color (int).
-func DeltaPlus1() engine.Program {
-	return func(api *engine.API) any {
-		forbidden := map[int32]bool{}
-		extra := func(msgs []engine.Msg) {
-			for _, m := range msgs {
-				if f, ok := m.Data.(engine.Final); ok {
-					if c, ok := finalColor(f.Output); ok {
-						forbidden[c] = true
-					}
-				}
-			}
-		}
-		c := randColorLoop(api, api.Degree()+1, forbidden,
-			func(int) bool { return true }, extra)
-		return int(c)
-	}
 }
 
 // phase1T returns t = floor(2 loglog n), clamped to [1, ell].
@@ -104,99 +38,7 @@ func phase1T(n, ell int) int {
 	return t
 }
 
-// ALogLog is the two-phase randomized O(a loglog n)-coloring of Section
-// 9.3, with O(1) vertex-averaged complexity w.h.p. Phase 1 runs
-// t = floor(2 loglog n) partition rounds; each H-set colors itself with
-// the randomized protocol on its private (A+1)-color block as soon as it
-// forms. Phase-2 vertices (only O(n / log^2 n) of them) finish the
-// partition and color themselves from one shared block, each first
-// waiting for its still-active and later-set neighbors to finalize, which
-// resolves the sets in descending order exactly as in the paper. The flat
-// output color is block*(A+1)+offset, at most (t+1)(A+1) = O(a loglog n)
-// colors overall.
-func ALogLog(a int, eps float64) engine.Program {
-	return func(api *engine.API) any {
-		n := api.N()
-		A := hpartition.ParamA(a, eps)
-		ell := hpartition.EllBound(n, eps)
-		t := phase1T(n, ell)
-		tr := hpartition.NewTracker(api, a, eps)
-
-		for int32(api.Round()) < int32(t) && tr.HIndex == 0 {
-			tr.Step(api)
-		}
-		finals := map[int]int32{} // neighbor index -> flat final color
-		absorb := func(msgs []engine.Msg) {
-			tr.Absorb(api, msgs)
-			for _, m := range msgs {
-				if f, ok := m.Data.(engine.Final); ok {
-					if c, ok := finalColor(f.Output); ok {
-						finals[api.NeighborIndex(m.From)] = c
-					}
-				}
-			}
-		}
-
-		if tr.HIndex != 0 {
-			// Phase 1: settle, then color within the set on block HIndex-1.
-			absorb(api.Next())
-			i := tr.HIndex
-			base := int32(i-1) * int32(A+1)
-			forbidden := map[int32]bool{}
-			extra := func(msgs []engine.Msg) {
-				absorb(msgs)
-				for k, f := range finals {
-					if tr.NbrH[k] == i && f >= base && f < base+int32(A+1) {
-						forbidden[f-base] = true
-					}
-				}
-			}
-			c := randColorLoop(api, A+1, forbidden,
-				func(k int) bool { return tr.NbrH[k] == i }, extra)
-			return int(base + c)
-		}
-
-		// Phase 2: finish the partition, then wait for every still-active
-		// or later-set neighbor to finalize before coloring on the shared
-		// phase-2 block.
-		for tr.HIndex == 0 {
-			tr.Step(api)
-		}
-		j := tr.HIndex
-		base := int32(t) * int32(A+1)
-		for {
-			ready := true
-			for k, h := range tr.NbrH {
-				if h != 0 && h <= j {
-					continue
-				}
-				if _, done := finals[k]; !done {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				break
-			}
-			absorb(api.Next())
-		}
-		forbidden := map[int32]bool{}
-		extra := func(msgs []engine.Msg) {
-			absorb(msgs)
-			for k, f := range finals {
-				if tr.NbrH[k] > int32(t) && f >= base {
-					forbidden[f-base] = true
-				}
-			}
-		}
-		extra(nil)
-		c := randColorLoop(api, A+1, forbidden,
-			func(k int) bool { return tr.NbrH[k] > int32(t) }, extra)
-		return int(base + c)
-	}
-}
-
-// ALogLogPalette returns the color budget of ALogLog: (t+1)(A+1).
+// ALogLogPalette returns the color budget of ALogLogStep: (t+1)(A+1).
 func ALogLogPalette(n, a int, eps float64) int {
 	A := hpartition.ParamA(a, eps)
 	ell := hpartition.EllBound(n, eps)

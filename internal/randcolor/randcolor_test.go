@@ -28,7 +28,7 @@ func TestRandDeltaPlus1Proper(t *testing.T) {
 	}
 	for _, g := range cases {
 		for seed := int64(1); seed <= 3; seed++ {
-			res, err := engine.Run(g, DeltaPlus1(), engine.Options{Seed: seed})
+			res, err := engine.RunSpec(g, engine.Spec{Step: DeltaPlus1Step()}, engine.Options{Seed: seed})
 			if err != nil {
 				t.Fatalf("%s: %v", g.Name, err)
 			}
@@ -50,7 +50,7 @@ func TestRandDeltaPlus1VertexAveragedConstant(t *testing.T) {
 	// per-vertex round count is at most ~4+1; allow slack.
 	for _, n := range []int{1000, 8000} {
 		g := graph.Gnm(n, 4*n, int64(n))
-		res, err := engine.Run(g, DeltaPlus1(), engine.Options{Seed: 5})
+		res, err := engine.RunSpec(g, engine.Spec{Step: DeltaPlus1Step()}, engine.Options{Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func TestALogLogProper(t *testing.T) {
 	}
 	for _, c := range cases {
 		for seed := int64(1); seed <= 3; seed++ {
-			res, err := engine.Run(c.g, ALogLog(c.a, 2), engine.Options{Seed: seed, MaxRounds: 1 << 20})
+			res, err := engine.RunSpec(c.g, engine.Spec{Step: ALogLogStep(c.a, 2)}, engine.Options{Seed: seed, MaxRounds: 1 << 20})
 			if err != nil {
 				t.Fatalf("%s: %v", c.g.Name, err)
 			}
@@ -88,7 +88,7 @@ func TestALogLogProper(t *testing.T) {
 func TestALogLogVertexAveragedConstant(t *testing.T) {
 	for _, n := range []int{2000, 16000} {
 		g := graph.ForestUnion(n, 2, 21)
-		res, err := engine.Run(g, ALogLog(2, 2), engine.Options{Seed: 9, MaxRounds: 1 << 20})
+		res, err := engine.RunSpec(g, engine.Spec{Step: ALogLogStep(2, 2)}, engine.Options{Seed: 9, MaxRounds: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestALogLogPaletteShape(t *testing.T) {
 func TestRandProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		g := graph.ForestUnion(120, 2, seed)
-		res, err := engine.Run(g, ALogLog(2, 1), engine.Options{Seed: seed, MaxRounds: 1 << 20})
+		res, err := engine.RunSpec(g, engine.Spec{Step: ALogLogStep(2, 1)}, engine.Options{Seed: seed, MaxRounds: 1 << 20})
 		if err != nil {
 			return false
 		}
@@ -132,7 +132,7 @@ func TestRandProperty(t *testing.T) {
 // color through the phase-2 wait-for-later-sets path.
 func TestALogLogPhase2Exercised(t *testing.T) {
 	g := graph.KaryTree(100000, 4)
-	res, err := engine.Run(g, ALogLog(1, 0.25), engine.Options{Seed: 3, MaxRounds: 1 << 20})
+	res, err := engine.RunSpec(g, engine.Spec{Step: ALogLogStep(1, 0.25)}, engine.Options{Seed: 3, MaxRounds: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

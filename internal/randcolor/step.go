@@ -6,17 +6,19 @@ import (
 	"vavg/internal/wire"
 )
 
-// Step (state-machine) forms of the randomized colorings. Every turn
-// reproduces one round of the blocking form — same PRNG draw order, same
-// broadcasts, same termination round — so the two forms are
-// byte-identical on every backend.
+// Tentative candidate colors (randomly drawn palette offsets) travel on
+// the fast lane as wire.TagTent; ALogLogStep interleaves them with
+// partition joins on the same edges, which the tag keeps apart.
 
-// startRandColor begins the Luby-style protocol of randColorLoop as a
-// step sub-machine: it performs the first round's coin flip and tentative
-// broadcast immediately (within the caller's current turn, exactly where
-// the blocking loop's first iteration runs) and returns the Step that
-// continues the protocol. done is invoked — in the turn the color is
-// secured — to produce the caller's continuation.
+// startRandColor runs the Luby-style protocol over palette offsets
+// [0, size) as a sub-machine. forbidden holds offsets owned by finished
+// rivals; extra is invoked with every round's messages and must keep
+// forbidden up to date (including rival Final announcements). rival says
+// whether tentatives from the given neighbor index compete on this
+// palette. The first round's coin flip and tentative broadcast happen
+// immediately, within the caller's current turn; done receives the
+// secured offset, proper against all rivals, in the turn it is secured,
+// and produces the caller's continuation.
 func startRandColor(api *engine.API, size int, forbidden map[int32]bool,
 	rival func(nbrIdx int) bool, extra func([]engine.Msg),
 	done func(int32) engine.Step) engine.Step {
@@ -57,7 +59,10 @@ func startRandColor(api *engine.API, size int, forbidden map[int32]bool,
 	return engine.Continue(loop)
 }
 
-// DeltaPlus1Step is the step form of DeltaPlus1.
+// DeltaPlus1Step is Procedure Rand-Delta-Plus1 (Section 9.2): each vertex
+// colors itself from {0, ..., deg(v)}, yielding a (Delta+1)-coloring of
+// the input graph with O(1) vertex-averaged complexity w.h.p. The
+// per-vertex output is its color (int).
 func DeltaPlus1Step() engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
 		return func(api *engine.API, _ []engine.Msg) engine.Step {
@@ -78,8 +83,16 @@ func DeltaPlus1Step() engine.StepProgram {
 	}
 }
 
-// ALogLogStep is the step form of ALogLog: the same two phases, with each
-// blocking wait loop unrolled into one turn per round.
+// ALogLogStep is the two-phase randomized O(a loglog n)-coloring of
+// Section 9.3, with O(1) vertex-averaged complexity w.h.p. Phase 1 runs
+// t = floor(2 loglog n) partition rounds; each H-set colors itself with
+// the randomized protocol on its private (A+1)-color block as soon as it
+// forms. Phase-2 vertices (only O(n / log^2 n) of them) finish the
+// partition and color themselves from one shared block, each first
+// waiting for its still-active and later-set neighbors to finalize, which
+// resolves the sets in descending order exactly as in the paper. The flat
+// output color is block*(A+1)+offset, at most (t+1)(A+1) = O(a loglog n)
+// colors overall.
 func ALogLogStep(a int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
 		n := api.N()

@@ -18,7 +18,6 @@ import (
 	"math"
 
 	"vavg/internal/coloring"
-	"vavg/internal/engine"
 	"vavg/internal/hpartition"
 )
 
@@ -104,68 +103,7 @@ func (p *Plan) TotalHSets() int {
 	return t
 }
 
-// runPartitionWindows drives the vertex through iteration windows until it
-// joins an H-set, honoring the plan's window geometry: one partition step
-// in the first round of each window, idling (and absorbing) otherwise,
-// including through C-blocks of segments it does not belong to. It
-// returns after the join round; perWindow, if non-nil, runs during the
-// windows of other vertices' H-sets and must consume exactly W-1 rounds
-// (the default idles).
-func (p *Plan) runPartitionWindows(api *engine.API, tr *hpartition.Tracker, perWindow func()) {
-	for s := range p.SegLen {
-		for m := 0; m < p.SegLen[s]; m++ {
-			joined, _ := tr.Step(api)
-			if joined {
-				return
-			}
-			if perWindow != nil {
-				perWindow()
-			} else {
-				tr.Absorb(api, api.Idle(p.W-1))
-			}
-		}
-		// C-block of segment s: this vertex is still active, so it idles.
-		tr.Absorb(api, api.Idle(p.CWidth[s]))
-	}
-	panic("segment: vertex failed to join within the planned partition rounds")
-}
-
-// idleUntil absorbs rounds until the vertex has completed `round` rounds.
-func idleUntil(api *engine.API, tr *hpartition.Tracker, round int) {
-	for api.Round() < round {
-		tr.Absorb(api, api.Next())
-	}
-}
-
-// KA2Coloring is the algorithm of Section 7.6: an O(k*a^2)-vertex-coloring
-// with O(log^(k) n) vertex-averaged complexity, for 2 <= k <= Rho(n).
-// Algorithm A is null, algorithm B is the forest-decomposition orientation
-// (local at settle time), and algorithm C is Procedure Arb-Linial-Coloring
-// run on each completed segment. With k = Rho(n) this yields the
-// O(a^2 log* n)-coloring in O(log* n) vertex-averaged rounds of Corollary
-// 7.14.
-func KA2Coloring(a, k int, eps float64) engine.Program {
-	return func(api *engine.API) any {
-		n := api.N()
-		plan := NewPlan(n, a, k, eps, 2, func(int) int {
-			return coloring.IteratedLinialRounds(n, hpartition.ParamA(a, eps))
-		})
-		tr := hpartition.NewTracker(api, a, eps)
-		plan.runPartitionWindows(api, tr, nil)
-		s, lo, hi := plan.SegmentOf(int(tr.HIndex))
-		// Settle round (second round of this vertex's window).
-		tr.Absorb(api, api.Next())
-		// Wait for the segment's C-block.
-		idleUntil(api, tr, plan.cStart[s])
-		members, parents := coloring.SegmentParents(api, tr, lo, hi)
-		c := coloring.IteratedLinial(api, members, parents, plan.A,
-			func(ms []engine.Msg) { tr.Absorb(api, ms) })
-		P := coloring.LinialFinalPalette(n, plan.A)
-		return c + s*P
-	}
-}
-
-// KA2Palette returns the total color budget of KA2Coloring: k segments
+// KA2Palette returns the total color budget of KA2Step: k segments
 // times the O(a^2) Arb-Linial fixed-point palette.
 func KA2Palette(n, a, k int, eps float64) int {
 	if r := coloring.Rho(n); k > r {
@@ -174,95 +112,9 @@ func KA2Palette(n, a, k int, eps float64) int {
 	return k * coloring.LinialFinalPalette(n, hpartition.ParamA(a, eps))
 }
 
-// KAColoring is the algorithm of Section 7.7: an O(k*a)-vertex-coloring
-// with O(a log^(k) n) vertex-averaged complexity, for 2 <= k <= Rho(n).
-// Algorithm A is the (Delta+1)-coloring of each H-set, algorithm B orients
-// the set's edges by descending color (an acyclic orientation of length
-// O(a)), and algorithm C recolors each completed segment along the
-// orientation from a segment-specific (A+1)-color palette block. With
-// k = Rho(n) this yields the O(a log* n)-coloring in O(a log* n)
-// vertex-averaged rounds of Corollary 7.17.
-func KAColoring(a, k int, eps float64) engine.Program {
-	return func(api *engine.API) any {
-		n := api.N()
-		A := hpartition.ParamA(a, eps)
-		windowW := 3 + coloring.DeltaPlus1Rounds(n, A)
-		plan := NewPlan(n, a, k, eps, windowW, func(segLen int) int {
-			return (A+1)*segLen + 2
-		})
-		tr := hpartition.NewTracker(api, a, eps)
-		sink := func(ms []engine.Msg) { tr.Absorb(api, ms) }
-		plan.runPartitionWindows(api, tr, nil)
-		i := tr.HIndex
-		s, lo, hi := plan.SegmentOf(int(i))
-		// Settle, then Delta+1-color the H-set and exchange set colors.
-		tr.Absorb(api, api.Next())
-		var members []int
-		for kk, h := range tr.NbrH {
-			if h == i {
-				members = append(members, kk)
-			}
-		}
-		c := coloring.DeltaPlus1OnSet(api, members, A, sink)
-		setColor := map[int]int{}
-		coloring.BroadcastChosen(api, segKind, int32(c))
-		for _, m := range api.Next() {
-			if mc, ok := coloring.AsChosen(m, segKind); ok {
-				if kk := api.NeighborIndex(m.From); tr.NbrH[kk] == i {
-					setColor[kk] = int(mc)
-					continue
-				}
-			}
-			tr.Absorb(api, []engine.Msg{m})
-		}
-
-		idleUntil(api, tr, plan.cStart[s])
-		// Parents within the segment: later H-set, or same set with a
-		// higher Delta+1 color.
-		var parents []int
-		for kk, h := range tr.NbrH {
-			if h <= lo || h > hi {
-				continue
-			}
-			if h > i || (h == i && setColor[kk] > c) {
-				parents = append(parents, kk)
-			}
-		}
-		base := s * (A + 1)
-		parentFinal := map[int]int{}
-		for {
-			ready := true
-			for _, kk := range parents {
-				if _, ok := parentFinal[kk]; !ok {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				used := map[int]bool{}
-				for _, kk := range parents {
-					used[parentFinal[kk]] = true
-				}
-				for cand := base; ; cand++ {
-					if !used[cand] {
-						return cand
-					}
-				}
-			}
-			for _, m := range api.Next() {
-				if f, ok := m.Data.(engine.Final); ok {
-					if col, ok := f.Output.(int); ok {
-						parentFinal[api.NeighborIndex(m.From)] = col
-					}
-				}
-			}
-		}
-	}
-}
-
 const segKind = 4
 
-// KAPalette returns the total color budget of KAColoring: k*(A+1).
+// KAPalette returns the total color budget of KAStep: k*(A+1).
 func KAPalette(n, a, k int, eps float64) int {
 	if r := coloring.Rho(n); k > r {
 		k = r

@@ -70,7 +70,7 @@ func TestPlanGeometry(t *testing.T) {
 func TestKA2ColoringProper(t *testing.T) {
 	for _, c := range families {
 		for _, k := range []int{2, 3} {
-			res, err := engine.Run(c.g, KA2Coloring(c.a, k, 2), engine.Options{Seed: 1, MaxRounds: 1 << 20})
+			res, err := engine.RunSpec(c.g, engine.Spec{Step: KA2Step(c.a, k, 2)}, engine.Options{Seed: 1, MaxRounds: 1 << 20})
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", c.g.Name, k, err)
 			}
@@ -85,7 +85,7 @@ func TestKA2ColoringProper(t *testing.T) {
 func TestKAColoringProper(t *testing.T) {
 	for _, c := range families {
 		for _, k := range []int{2, 3} {
-			res, err := engine.Run(c.g, KAColoring(c.a, k, 2), engine.Options{Seed: 1, MaxRounds: 1 << 20})
+			res, err := engine.RunSpec(c.g, engine.Spec{Step: KAStep(c.a, k, 2)}, engine.Options{Seed: 1, MaxRounds: 1 << 20})
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", c.g.Name, k, err)
 			}
@@ -101,14 +101,14 @@ func TestKARhoInstances(t *testing.T) {
 	// k = Rho(n): the Corollary 7.14 / 7.17 instances.
 	g := graph.ForestUnion(400, 2, 7)
 	k := coloring.Rho(g.N())
-	res, err := engine.Run(g, KA2Coloring(2, k, 2), engine.Options{Seed: 1, MaxRounds: 1 << 20})
+	res, err := engine.RunSpec(g, engine.Spec{Step: KA2Step(2, k, 2)}, engine.Options{Seed: 1, MaxRounds: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := check.VertexColoring(g, colorsOf(t, res), KA2Palette(g.N(), 2, k, 2)); err != nil {
 		t.Error(err)
 	}
-	res2, err := engine.Run(g, KAColoring(2, k, 2), engine.Options{Seed: 1, MaxRounds: 1 << 20})
+	res2, err := engine.RunSpec(g, engine.Spec{Step: KAStep(2, k, 2)}, engine.Options{Seed: 1, MaxRounds: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestKA2VertexAverageShrinksWithK(t *testing.T) {
 	g := graph.ForestUnion(4000, 2, 11)
 	var prev float64
 	for i, k := range []int{2, coloring.Rho(g.N())} {
-		res, err := engine.Run(g, KA2Coloring(2, k, 2), engine.Options{Seed: 1, MaxRounds: 1 << 20})
+		res, err := engine.RunSpec(g, engine.Spec{Step: KA2Step(2, k, 2)}, engine.Options{Seed: 1, MaxRounds: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,11 +140,8 @@ func TestSegmentPropertyRandomGraphs(t *testing.T) {
 		a := 1 + int(aRaw%3)
 		k := 2 + int(kRaw%2)
 		g := graph.ForestUnion(120, a, seed)
-		for _, mk := range []func() engine.Program{
-			func() engine.Program { return KA2Coloring(a, k, 2) },
-			func() engine.Program { return KAColoring(a, k, 2) },
-		} {
-			res, err := engine.Run(g, mk(), engine.Options{Seed: seed, MaxRounds: 1 << 20})
+		for _, prog := range []engine.StepProgram{KA2Step(a, k, 2), KAStep(a, k, 2)} {
+			res, err := engine.RunSpec(g, engine.Spec{Step: prog}, engine.Options{Seed: seed, MaxRounds: 1 << 20})
 			if err != nil {
 				return false
 			}
@@ -165,11 +162,11 @@ func TestSegmentPropertyRandomGraphs(t *testing.T) {
 
 func TestSegmentDeterminism(t *testing.T) {
 	g := graph.ForestUnion(200, 2, 4)
-	r1, err := engine.Run(g, KAColoring(2, 3, 2), engine.Options{Seed: 5, MaxRounds: 1 << 20})
+	r1, err := engine.RunSpec(g, engine.Spec{Step: KAStep(2, 3, 2)}, engine.Options{Seed: 5, MaxRounds: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := engine.Run(g, KAColoring(2, 3, 2), engine.Options{Seed: 99, MaxRounds: 1 << 20})
+	r2, err := engine.RunSpec(g, engine.Spec{Step: KAStep(2, 3, 2)}, engine.Options{Seed: 99, MaxRounds: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

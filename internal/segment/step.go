@@ -6,18 +6,16 @@ import (
 	"vavg/internal/hpartition"
 )
 
-// Step (state-machine) forms of the segmentation algorithms. Each turn
-// reproduces one round of the blocking form; the idle stretches of the
-// window geometry (window remainders, foreign C-blocks, waits for the own
-// segment's C-block) become merged sleeps whose wake turn absorbs exactly
-// the messages the blocking form absorbs round by round, so the two forms
-// are byte-identical on every backend.
+// The segmentation algorithms. The idle stretches of the window geometry
+// (window remainders, foreign C-blocks, waits for the own segment's
+// C-block) are single sleeps whose wake turn absorbs every message that
+// arrived during them.
 
-// startWindows is the step form of runPartitionWindows (perWindow nil):
-// one partition advance in the first round of each window, sleeping
-// through window remainders and foreign C-blocks. done runs in the turn
-// after the join round's tail absorb — the turn the blocking form returns
-// in.
+// startWindows drives the vertex through iteration windows until it joins
+// an H-set, honoring the plan's window geometry: one partition advance in
+// the first round of each window, sleeping through window remainders and
+// through the C-blocks of segments it does not belong to. done runs in the
+// turn after the join round's tail absorb.
 func (p *Plan) startWindows(api *engine.API, tr *hpartition.Tracker,
 	done func(api *engine.API) engine.Step) engine.Step {
 	s, m := 0, 0
@@ -55,7 +53,13 @@ func (p *Plan) startWindows(api *engine.API, tr *hpartition.Tracker,
 	return engine.Continue(tail)
 }
 
-// KA2Step is the step form of KA2Coloring.
+// KA2Step is the algorithm of Section 7.6: an O(k*a^2)-vertex-coloring
+// with O(log^(k) n) vertex-averaged complexity, for 2 <= k <= Rho(n).
+// Algorithm A is null, algorithm B is the forest-decomposition orientation
+// (local at settle time), and algorithm C is Procedure Arb-Linial-Coloring
+// run on each completed segment. With k = Rho(n) this yields the
+// O(a^2 log* n)-coloring in O(log* n) vertex-averaged rounds of Corollary
+// 7.14.
 func KA2Step(a, k int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
 		n := api.N()
@@ -95,7 +99,14 @@ func KA2Step(a, k int, eps float64) engine.StepProgram {
 	}
 }
 
-// KAStep is the step form of KAColoring.
+// KAStep is the algorithm of Section 7.7: an O(k*a)-vertex-coloring with
+// O(a log^(k) n) vertex-averaged complexity, for 2 <= k <= Rho(n).
+// Algorithm A is the (Delta+1)-coloring of each H-set, algorithm B orients
+// the set's edges by descending color (an acyclic orientation of length
+// O(a)), and algorithm C recolors each completed segment along the
+// orientation from a segment-specific (A+1)-color palette block. With
+// k = Rho(n) this yields the O(a log* n)-coloring in O(a log* n)
+// vertex-averaged rounds of Corollary 7.17.
 func KAStep(a, k int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
 		n := api.N()

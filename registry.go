@@ -29,10 +29,7 @@ var registry = []Algorithm{
 		Kind:           KindPartition,
 		Deterministic:  true,
 		VertexAvgBound: "O(1)",
-		program: func(p Params) engine.Program {
-			return hpartition.Program(p.Arboricity, p.Eps)
-		},
-		step: func(p Params) engine.StepProgram {
+		form: func(p Params) engine.StepProgram {
 			return hpartition.StepProgram(p.Arboricity, p.Eps)
 		},
 	},
@@ -43,10 +40,7 @@ var registry = []Algorithm{
 		Kind:           KindPartition,
 		Deterministic:  true,
 		VertexAvgBound: "O(log² a)",
-		program: func(p Params) engine.Program {
-			return hpartition.GeneralProgram(p.Eps)
-		},
-		step: func(p Params) engine.StepProgram {
+		form: func(p Params) engine.StepProgram {
 			return hpartition.GeneralStepProgram(p.Eps)
 		},
 	},
@@ -57,10 +51,7 @@ var registry = []Algorithm{
 		Kind:           KindForest,
 		Deterministic:  true,
 		VertexAvgBound: "O(1)",
-		program: func(p Params) engine.Program {
-			return forest.Program(p.Arboricity, p.Eps)
-		},
-		step: func(p Params) engine.StepProgram {
+		form: func(p Params) engine.StepProgram {
 			return forest.StepProgram(p.Arboricity, p.Eps)
 		},
 	},
@@ -71,10 +62,7 @@ var registry = []Algorithm{
 		Kind:           KindForest,
 		Deterministic:  true,
 		VertexAvgBound: "Θ(log n)",
-		program: func(p Params) engine.Program {
-			return baseline.ForestDecompositionWC(p.Arboricity, p.Eps)
-		},
-		step: func(p Params) engine.StepProgram {
+		form: func(p Params) engine.StepProgram {
 			return baseline.ForestDecompositionWCStep(p.Arboricity, p.Eps)
 		},
 	},
@@ -89,10 +77,7 @@ var registry = []Algorithm{
 		Palette: func(n int, p Params) int {
 			return coloring.ArbLinialO1Palette(n, p.Arboricity, p.Eps)
 		},
-		program: func(p Params) engine.Program {
-			return coloring.ArbLinialO1(p.Arboricity, p.Eps)
-		},
-		step: func(p Params) engine.StepProgram {
+		form: func(p Params) engine.StepProgram {
 			return coloring.ArbLinialO1Step(p.Arboricity, p.Eps)
 		},
 	},
@@ -107,10 +92,7 @@ var registry = []Algorithm{
 		Palette: func(n int, p Params) int {
 			return coloring.ArbLinialO1Palette(n, p.Arboricity, p.Eps)
 		},
-		program: func(p Params) engine.Program {
-			return baseline.ArbLinialWC(p.Arboricity, p.Eps)
-		},
-		step: func(p Params) engine.StepProgram {
+		form: func(p Params) engine.StepProgram {
 			return baseline.ArbLinialWCStep(p.Arboricity, p.Eps)
 		},
 	},
@@ -125,10 +107,7 @@ var registry = []Algorithm{
 		Palette: func(n int, p Params) int {
 			return 2 * coloring.TwoPhaseA2PhasePalette(n, p.Arboricity, p.Eps)
 		},
-		program: func(p Params) engine.Program {
-			return coloring.TwoPhaseA2(p.Arboricity, p.Eps)
-		},
-		step: func(p Params) engine.StepProgram {
+		form: func(p Params) engine.StepProgram {
 			return coloring.TwoPhaseA2Step(p.Arboricity, p.Eps)
 		},
 	},
@@ -143,10 +122,7 @@ var registry = []Algorithm{
 		Palette: func(n int, p Params) int {
 			return coloring.LinialFinalPalette(n, hpartition.ParamA(p.Arboricity, p.Eps))
 		},
-		program: func(p Params) engine.Program {
-			return baseline.IteratedArbLinialWC(p.Arboricity, p.Eps)
-		},
-		step: func(p Params) engine.StepProgram {
+		form: func(p Params) engine.StepProgram {
 			return baseline.IteratedArbLinialWCStep(p.Arboricity, p.Eps)
 		},
 	},
@@ -161,10 +137,7 @@ var registry = []Algorithm{
 		Palette: func(n int, p Params) int {
 			return coloring.AColorPalette(p.Arboricity, p.Eps)
 		},
-		program: func(p Params) engine.Program {
-			return coloring.AColorLogLog(p.Arboricity, p.Eps)
-		},
-		step: func(p Params) engine.StepProgram {
+		form: func(p Params) engine.StepProgram {
 			return coloring.AColorLogLogStep(p.Arboricity, p.Eps)
 		},
 	},
@@ -179,10 +152,7 @@ var registry = []Algorithm{
 		Palette: func(n int, p Params) int {
 			return hpartition.ParamA(p.Arboricity, p.Eps) + 1
 		},
-		program: func(p Params) engine.Program {
-			return baseline.ArbColorWC(p.Arboricity, p.Eps)
-		},
-		step: func(p Params) engine.StepProgram {
+		form: func(p Params) engine.StepProgram {
 			return baseline.ArbColorWCStep(p.Arboricity, p.Eps)
 		},
 	},
@@ -197,10 +167,7 @@ var registry = []Algorithm{
 		Palette: func(n int, p Params) int {
 			return segment.KA2Palette(n, p.Arboricity, p.K, p.Eps)
 		},
-		program: func(p Params) engine.Program {
-			return segment.KA2Coloring(p.Arboricity, p.K, p.Eps)
-		},
-		step: func(p Params) engine.StepProgram {
+		form: func(p Params) engine.StepProgram {
 			return segment.KA2Step(p.Arboricity, p.K, p.Eps)
 		},
 	},
@@ -215,10 +182,7 @@ var registry = []Algorithm{
 		Palette: func(n int, p Params) int {
 			return segment.KAPalette(n, p.Arboricity, p.K, p.Eps)
 		},
-		program: func(p Params) engine.Program {
-			return segment.KAColoring(p.Arboricity, p.K, p.Eps)
-		},
-		step: func(p Params) engine.StepProgram {
+		form: func(p Params) engine.StepProgram {
 			return segment.KAStep(p.Arboricity, p.K, p.Eps)
 		},
 	},
@@ -233,10 +197,7 @@ var registry = []Algorithm{
 		Palette: func(n int, p Params) int {
 			return arbdefect.Palette(n, arbdefect.Params{A: p.Arboricity, Eps: p.Eps, C: p.C})
 		},
-		program: func(p Params) engine.Program {
-			return arbdefect.OnePlusEta(p.Arboricity, p.Eps, p.C)
-		},
-		step: func(p Params) engine.StepProgram {
+		form: func(p Params) engine.StepProgram {
 			return arbdefect.OnePlusEtaStep(p.Arboricity, p.Eps, p.C)
 		},
 	},
@@ -251,10 +212,7 @@ var registry = []Algorithm{
 		Palette: func(n int, p Params) int {
 			return arbdefect.LegalColoringWCPalette(n, arbdefect.Params{A: p.Arboricity, Eps: p.Eps, C: p.C})
 		},
-		program: func(p Params) engine.Program {
-			return arbdefect.LegalColoringWC(p.Arboricity, p.Eps, p.C)
-		},
-		step: func(p Params) engine.StepProgram {
+		form: func(p Params) engine.StepProgram {
 			return arbdefect.LegalColoringWCStep(p.Arboricity, p.Eps, p.C)
 		},
 	},
@@ -266,10 +224,7 @@ var registry = []Algorithm{
 		Deterministic:  true,
 		VertexAvgBound: "O(a log a + log* n)",
 		ColorBound:     "Δ+1",
-		program: func(p Params) engine.Program {
-			return extend.DeltaPlus1(p.Arboricity, p.Eps)
-		},
-		step: func(p Params) engine.StepProgram {
+		form: func(p Params) engine.StepProgram {
 			return extend.DeltaPlus1Step(p.Arboricity, p.Eps)
 		},
 	},
@@ -281,10 +236,7 @@ var registry = []Algorithm{
 		Deterministic:  false,
 		VertexAvgBound: "O(1) w.h.p.",
 		ColorBound:     "Δ+1",
-		program: func(Params) engine.Program {
-			return randcolor.DeltaPlus1()
-		},
-		step: func(Params) engine.StepProgram {
+		form: func(Params) engine.StepProgram {
 			return randcolor.DeltaPlus1Step()
 		},
 	},
@@ -299,10 +251,7 @@ var registry = []Algorithm{
 		Palette: func(n int, p Params) int {
 			return randcolor.ALogLogPalette(n, p.Arboricity, p.Eps)
 		},
-		program: func(p Params) engine.Program {
-			return randcolor.ALogLog(p.Arboricity, p.Eps)
-		},
-		step: func(p Params) engine.StepProgram {
+		form: func(p Params) engine.StepProgram {
 			return randcolor.ALogLogStep(p.Arboricity, p.Eps)
 		},
 	},
@@ -313,10 +262,7 @@ var registry = []Algorithm{
 		Kind:           KindMIS,
 		Deterministic:  true,
 		VertexAvgBound: "O(a log a + log* n)",
-		program: func(p Params) engine.Program {
-			return extend.MIS(p.Arboricity, p.Eps)
-		},
-		step: func(p Params) engine.StepProgram {
+		form: func(p Params) engine.StepProgram {
 			return extend.MISStep(p.Arboricity, p.Eps)
 		},
 	},
@@ -327,10 +273,7 @@ var registry = []Algorithm{
 		Kind:           KindMIS,
 		Deterministic:  true,
 		VertexAvgBound: "Θ(log n + a²)",
-		program: func(p Params) engine.Program {
-			return baseline.MISByColoringWC(p.Arboricity, p.Eps)
-		},
-		step: func(p Params) engine.StepProgram {
+		form: func(p Params) engine.StepProgram {
 			return baseline.MISByColoringWCStep(p.Arboricity, p.Eps)
 		},
 	},
@@ -341,10 +284,7 @@ var registry = []Algorithm{
 		Kind:           KindMIS,
 		Deterministic:  false,
 		VertexAvgBound: "O(log n) w.h.p.",
-		program: func(Params) engine.Program {
-			return baseline.LubyMIS()
-		},
-		step: func(Params) engine.StepProgram {
+		form: func(Params) engine.StepProgram {
 			return baseline.LubyMISStep()
 		},
 	},
@@ -356,10 +296,7 @@ var registry = []Algorithm{
 		Deterministic:  true,
 		VertexAvgBound: "O(a + log* n)",
 		ColorBound:     "2Δ-1",
-		program: func(p Params) engine.Program {
-			return extend.EdgeColoring(p.Arboricity, p.Eps)
-		},
-		step: func(p Params) engine.StepProgram {
+		form: func(p Params) engine.StepProgram {
 			return extend.EdgeColoringStep(p.Arboricity, p.Eps)
 		},
 	},
@@ -370,10 +307,7 @@ var registry = []Algorithm{
 		Kind:           KindMatching,
 		Deterministic:  true,
 		VertexAvgBound: "O(a + log* n)",
-		program: func(p Params) engine.Program {
-			return extend.MaximalMatching(p.Arboricity, p.Eps)
-		},
-		step: func(p Params) engine.StepProgram {
+		form: func(p Params) engine.StepProgram {
 			return extend.MaximalMatchingStep(p.Arboricity, p.Eps)
 		},
 	},
@@ -386,10 +320,7 @@ var registry = []Algorithm{
 		VertexAvgBound: "Θ(log* n)",
 		ColorBound:     "3",
 		Palette:        func(int, Params) int { return 3 },
-		program: func(Params) engine.Program {
-			return baseline.Ring3Coloring()
-		},
-		step: func(Params) engine.StepProgram {
+		form: func(Params) engine.StepProgram {
 			return baseline.Ring3ColoringStep()
 		},
 	},
@@ -400,10 +331,7 @@ var registry = []Algorithm{
 		Kind:           KindReference,
 		Deterministic:  true,
 		VertexAvgBound: "O(log n) commitment",
-		program: func(Params) engine.Program {
-			return baseline.LeaderElectionRing()
-		},
-		step: func(Params) engine.StepProgram {
+		form: func(Params) engine.StepProgram {
 			return baseline.LeaderElectionRingStep()
 		},
 	},

@@ -1,9 +1,9 @@
 package vavg
 
 import (
-	"strings"
 	"testing"
 
+	"vavg/internal/engine"
 	"vavg/internal/graph"
 )
 
@@ -43,7 +43,7 @@ func awkwardGraphs() []*Graph {
 // demands validated outputs.
 func TestRegistryOnAwkwardGraphs(t *testing.T) {
 	for _, alg := range Algorithms() {
-		if strings.Contains(alg.Name, "ring") || alg.Kind == KindReference {
+		if ringOnly(alg) {
 			continue
 		}
 		alg := alg
@@ -112,8 +112,12 @@ func TestGeneralPartitionSurvivesUnknownArboricity(t *testing.T) {
 // to end on the leader election reference.
 func TestCommitReporting(t *testing.T) {
 	g := RingShuffled(128, 7)
-	p := Params{Arboricity: 2, MaxRounds: 1 << 16}
-	res, err := Simulate(g, mustProgram(t, "leader-ring", p), p)
+	alg, err := ByName("leader-ring")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Params{Arboricity: 2, MaxRounds: 1 << 16}.withDefaults(g)
+	res, err := engine.RunSpec(g, alg.spec(p), engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,13 +130,4 @@ func TestCommitReporting(t *testing.T) {
 			t.Fatalf("vertex %d commit round %d out of range (terminated %d)", v, c, res.Rounds[v])
 		}
 	}
-}
-
-func mustProgram(t *testing.T, name string, p Params) Program {
-	t.Helper()
-	alg, err := ByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return alg.program(p.withDefaults(nil))
 }

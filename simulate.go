@@ -62,15 +62,14 @@ func NewReport(name string, g *Graph, p Params, res *SimResult) Report {
 // ends with a color from list(v), which must contain at least deg(v)+1
 // colors, adjacent vertices differ, and the vertex-averaged complexity is
 // a function of the arboricity rather than of Delta. The outputs are
-// validated before returning. It runs the framework's step form unless
-// Params.Backend forces "goroutines"; like Simulate, it rejects
-// Params.Scenario and Params.Relabel.
+// validated before returning. Like Simulate, it rejects Params.Scenario
+// and Params.Relabel.
 func ListColoring(g *Graph, p Params, list func(v int) []int) (Report, []int, error) {
 	p = p.withDefaults(g)
-	res, err := simulate("ListColoring", g, engine.Spec{
-		Program: extend.ListColoring(p.Arboricity, p.Eps, list),
-		Step:    extend.ListColoringStep(p.Arboricity, p.Eps, list),
-	}, p)
+	if err := p.validate(); err != nil {
+		return Report{}, nil, fmt.Errorf("vavg: ListColoring: %w", err)
+	}
+	res, err := simulate("ListColoring", g, engine.Spec{Step: extend.ListColoringStep(p.Arboricity, p.Eps, list)}, p)
 	if err != nil {
 		return Report{}, nil, err
 	}

@@ -134,7 +134,7 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	sizes := []int{64, 128}
 	seeds := []int64{1, 2, 3}
 	for _, alg := range Algorithms() {
-		ringOnly := strings.Contains(alg.Name, "ring") || alg.Kind == KindReference
+		ringOnly := ringOnly(alg)
 		alg := alg
 		t.Run(alg.Name, func(t *testing.T) {
 			t.Parallel()

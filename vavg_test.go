@@ -1,6 +1,7 @@
 package vavg
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -14,7 +15,7 @@ func TestRegistryRunsEverythingOnCanonicalGraph(t *testing.T) {
 	for _, alg := range Algorithms() {
 		g := forest
 		p := Params{Arboricity: 3}
-		if strings.Contains(alg.Name, "ring") || alg.Kind == KindReference {
+		if ringOnly(alg) {
 			g = ring
 			p = Params{Arboricity: 2, MaxRounds: 1 << 16}
 		}
@@ -50,6 +51,42 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 	if rep.Arbor != 3 {
 		t.Errorf("default arboricity = %d, want certified 3", rep.Arbor)
+	}
+}
+
+// TestParamsRangesRejected checks that out-of-range Eps, K and C fail in
+// Algorithm.Run (and so in Sweep) with an error naming the field, before
+// the engine starts, instead of panicking inside a vertex.
+func TestParamsRangesRejected(t *testing.T) {
+	g := ForestUnion(60, 2, 3)
+	for _, c := range []struct {
+		alg   string
+		p     Params
+		field string
+	}{
+		{"mis", Params{Eps: 5}, "Params.Eps"},
+		{"mis", Params{Eps: -1}, "Params.Eps"},
+		{"mis", Params{Eps: math.NaN()}, "Params.Eps"},
+		{"ka", Params{K: -1}, "Params.K"},
+		{"ka2", Params{K: 1}, "Params.K"},
+		{"one-plus-eta", Params{C: -1}, "Params.C"},
+	} {
+		alg, err := ByName(c.alg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := alg.Run(g, c.p); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s with %+v: error %v, want one naming %s", c.alg, c.p, err, c.field)
+		}
+		gen := func(n int) *Graph { return ForestUnion(n, 2, 3) }
+		if _, err := Sweep(alg, gen, []int{40}, []int64{1}, c.p); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("sweep %s with %+v: error %v, want one naming %s", c.alg, c.p, err, c.field)
+		}
+	}
+	// The boundary values themselves are valid.
+	alg, _ := ByName("ka")
+	if _, err := alg.Run(g, Params{Eps: 2, K: 2, C: 1}); err != nil {
+		t.Errorf("boundary Params rejected: %v", err)
 	}
 }
 
