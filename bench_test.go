@@ -180,13 +180,13 @@ func BenchmarkEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkBackends compares the engine execution backends on the same
-// workloads: "partition" exercises early termination, "ka2" the §7.5
-// Idle-window schedule where the step driver skips sleeping vertices.
-// Sizes stay moderate by default; set VAVG_BENCH_MILLION=1 to add the
-// n=1,000,000 ring and forest-union points (minutes per run, and
-// gigabytes of goroutine stacks on the goroutines backend).
-func BenchmarkBackends(b *testing.B) {
+// BenchmarkStepDriver measures the step driver, the runner of every
+// registry algorithm, on two workloads: "partition" exercises early
+// termination, "ka2" the §7.5 Idle-window schedule where the driver
+// skips sleeping vertices. Sizes stay moderate by default; set
+// VAVG_BENCH_MILLION=1 to add the n=1,000,000 ring and forest-union
+// points.
+func BenchmarkStepDriver(b *testing.B) {
 	sizes := []int{1 << 12, 1 << 16}
 	if os.Getenv("VAVG_BENCH_MILLION") != "" {
 		sizes = append(sizes, 1_000_000)
@@ -203,12 +203,9 @@ func BenchmarkBackends(b *testing.B) {
 		for _, n := range sizes {
 			g := fam.gen(n)
 			for _, algName := range []string{"partition", "ka2"} {
-				for _, backend := range Backends() {
-					name := fmt.Sprintf("%s/%s/n%d/%s", algName, fam.name, n, backend)
-					b.Run(name, func(b *testing.B) {
-						benchAlg(b, g, algName, Params{Arboricity: fam.arb, Backend: backend})
-					})
-				}
+				b.Run(fmt.Sprintf("%s/%s/n%d", algName, fam.name, n), func(b *testing.B) {
+					benchAlg(b, g, algName, Params{Arboricity: fam.arb})
+				})
 			}
 		}
 	}

@@ -8,16 +8,16 @@ import (
 	"time"
 
 	"vavg"
-	"vavg/internal/engine"
 	"vavg/internal/graph"
 	"vavg/internal/metrics"
 	"vavg/internal/parallel"
 )
 
 // BackendPoint is one (backend, algorithm, family, n) measurement of the
-// engine-core benchmark: the LOCAL-model accounting (which must be
-// identical across backends) plus the wall-clock and memory cost of the
-// execution strategy (which is what differs).
+// engine-core benchmark: the LOCAL-model accounting plus the wall-clock
+// and memory cost of the execution strategy. Registry algorithms run on
+// the step driver only; rows of other backends in older baselines are
+// historical.
 type BackendPoint struct {
 	Backend          string  `json:"backend"`
 	Algorithm        string  `json:"algorithm"`
@@ -108,15 +108,13 @@ var backendFamilies = []struct {
 }
 
 // backendAlgs are the default benchmarked algorithms: "partition" is the
-// early-termination workload (every backend shrinks its live set), while
+// early-termination workload (the live set shrinks every round), while
 // "arblinial-o1" and "ka2" layer the §7 Idle-window schedules on top,
-// which is where the step driver pays off: goroutines wakes every live
-// vertex every round of a window, while the step backend parks them until
-// a message arrives or the window expires, without any goroutine
-// machinery at all.
+// where the step driver parks sleeping vertices until a message arrives
+// or the window expires.
 var backendAlgs = []string{"partition", "arblinial-o1", "ka2"}
 
-// RunBackendBench measures every registered engine backend on the default
+// RunBackendBench measures the step driver on the default
 // algorithm/family matrix across cfg.Sizes. The per-point wall and memory
 // measurements run strictly serially — concurrent runs would contend for
 // cores and corrupt them; the sweep-scheduler throughput comparison is
@@ -133,13 +131,11 @@ func RunBackendBench(cfg Config) (*BackendBench, error) {
 				if err != nil {
 					return nil, err
 				}
-				for _, backend := range engine.Backends() {
-					pt, err := measureBackend(alg, g, fam.Name, fam.A, backend, seed, cfg.StepShards)
-					if err != nil {
-						return nil, fmt.Errorf("backends: %s/%s/%s n=%d: %w", backend, name, fam.Name, n, err)
-					}
-					bench.Points = append(bench.Points, pt)
+				pt, err := measureBackend(alg, g, fam.Name, fam.A, "step", seed, cfg.StepShards)
+				if err != nil {
+					return nil, fmt.Errorf("backends: %s/%s n=%d: %w", name, fam.Name, n, err)
 				}
+				bench.Points = append(bench.Points, pt)
 			}
 		}
 	}
@@ -163,7 +159,7 @@ func RunBackendBench(cfg Config) (*BackendBench, error) {
 }
 
 // sweepMatrix builds the benchmark matrix as schedulable run points, one
-// per (family, n, algorithm, backend), sharing one cached graph per
+// per (family, n, algorithm), sharing one cached graph per
 // (family, n) and skipping validation so only the engine is on the clock.
 func sweepMatrix(cfg Config) ([]runPoint, error) {
 	seed := cfg.Seeds[0]
@@ -176,11 +172,9 @@ func sweepMatrix(cfg Config) ([]runPoint, error) {
 				if err != nil {
 					return nil, err
 				}
-				for _, backend := range engine.Backends() {
-					points = append(points, runPoint{alg, g, vavg.Params{
-						Arboricity: fam.A, Seed: seed, Backend: backend, StepShards: cfg.StepShards, SkipValidation: true,
-					}})
-				}
+				points = append(points, runPoint{alg, g, vavg.Params{
+					Arboricity: fam.A, Seed: seed, StepShards: cfg.StepShards, SkipValidation: true,
+				}})
 			}
 		}
 	}
@@ -309,15 +303,12 @@ func (b *BackendBench) WriteJSON(w io.Writer) error {
 	return enc.Encode(b)
 }
 
-// runBackends renders the backend comparison as a table (or as JSON under
-// cfg.JSON) and cross-checks that the backends agreed on the accounting.
+// runBackends renders the engine benchmark as a table (or as JSON under
+// cfg.JSON).
 func runBackends(cfg Config) error {
 	cfg = cfg.withDefaults()
 	bench, err := RunBackendBench(cfg)
 	if err != nil {
-		return err
-	}
-	if err := checkBackendAgreement(bench); err != nil {
 		return err
 	}
 	if cfg.JSON {
@@ -346,31 +337,6 @@ func runBackends(cfg Config) error {
 			})
 		}
 		metrics.Table(cfg.W, []string{"workers", "wall ms", "speedup"}, trows)
-	}
-	return nil
-}
-
-// checkBackendAgreement verifies the equivalence contract on the
-// benchmark's own data: every backend must report identical rounds and
-// round sums for the same (algorithm, family, n, seed) cell.
-func checkBackendAgreement(b *BackendBench) error {
-	type key struct {
-		alg, fam string
-		n        int
-	}
-	seen := map[key]BackendPoint{}
-	for _, pt := range b.Points {
-		k := key{pt.Algorithm, pt.Family, pt.N}
-		if prev, ok := seen[k]; ok {
-			if prev.TotalRounds != pt.TotalRounds || prev.RoundSum != pt.RoundSum {
-				return fmt.Errorf("backends disagree on %s/%s n=%d: %s (%d,%d) vs %s (%d,%d)",
-					pt.Algorithm, pt.Family, pt.N,
-					prev.Backend, prev.TotalRounds, prev.RoundSum,
-					pt.Backend, pt.TotalRounds, pt.RoundSum)
-			}
-		} else {
-			seen[k] = pt
-		}
 	}
 	return nil
 }

@@ -4,14 +4,11 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"vavg/internal/engine"
 )
 
 // TestBackendBenchJSON checks the BENCH_engine.json artifact shape: the
 // JSON mode must emit a parseable BackendBench covering every (family,
-// algorithm, backend) cell with sane measurements, and the built-in
-// agreement check must have passed.
+// algorithm) cell with sane step-driver measurements.
 func TestBackendBenchJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("backend bench is not short")
@@ -25,11 +22,14 @@ func TestBackendBenchJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(sb.String()), &bench); err != nil {
 		t.Fatalf("backends JSON does not parse: %v", err)
 	}
-	want := len(backendFamilies) * len(backendAlgs) * len(engine.Backends())
+	want := len(backendFamilies) * len(backendAlgs)
 	if len(bench.Points) != want {
 		t.Fatalf("got %d points, want %d", len(bench.Points), want)
 	}
 	for _, pt := range bench.Points {
+		if pt.Backend != "step" {
+			t.Errorf("point %s/%s ran on %q, want the step driver", pt.Algorithm, pt.Family, pt.Backend)
+		}
 		if pt.RoundSum <= 0 || pt.TotalRounds <= 0 || pt.WallMs <= 0 || pt.PeakBytes == 0 {
 			t.Errorf("degenerate point %+v", pt)
 		}
